@@ -6,9 +6,12 @@ Three comparisons are used throughout the experiments:
 * WDEQ vs exact optimum (small instances) — Theorem 4 says the ratio is at
   most 2,
 * WDEQ (and other online policies) vs the combined lower bound of Lemma 1 —
-  usable on instances far too large for the brute-force optimum; a ratio
-  below 2 against the lower bound is implied by Theorem 4, and the measured
-  values show how loose the bound is in practice.
+  usable on instances far too large for the brute-force optimum.  Theorem 4
+  does *not* cap this ratio at 2: its proof bounds WDEQ by twice the mixed
+  bound at the capped/uncapped volume split WDEQ itself induces, and the
+  combined bound (a maximum over a few uniform splits) can be lower than
+  that one, so the ratio can exceed 2 (about 2.2 on cluster instances with
+  ``n >= 48``).  The measured values show how loose the bound is in practice.
 """
 
 from __future__ import annotations

@@ -425,8 +425,11 @@ def wdeq_ratio_batch(
 ) -> np.ndarray:
     """WDEQ value over the combined lower bound for every row, shape ``(B,)``.
 
-    Vectorized counterpart of ``wdeq_ratio(instance, exact=False)``:
-    Theorem 4 guarantees every entry is at most 2.
+    Vectorized counterpart of ``wdeq_ratio(instance, exact=False)``.  The
+    entries are *not* bounded by 2: Theorem 4 bounds WDEQ by twice Lemma 1's
+    mixed bound at the capped/uncapped volume split WDEQ itself induces, and
+    the combined bound (a maximum over a few uniform splits) can be lower
+    than that one — cluster instances with ``n >= 48`` reach about 2.2.
     """
     value = wdeq_weighted_completion_batch(batch, completion_times, atol=atol)
     reference = combined_lower_bound_batch(batch, num_fractions=num_fractions)

@@ -255,17 +255,14 @@ class BatchSimulationState:
 
     :func:`simulate_batch` used to be one monolithic loop; the loop body now
     lives in :func:`advance_simulation_state`, which mutates one of these
-    state objects and can *pause at a time horizon* — this is what lets the
-    online scheduling service (:mod:`repro.service`) drive the simulator
-    incrementally, advancing from the current virtual time on every
-    submit/cancel/query instead of replaying from ``t = 0``.
+    state objects and can *pause at a time horizon*, so a later call resumes
+    from the current time instead of replaying from ``t = 0``.  The online
+    service (:mod:`repro.service.state`) keeps these event rules in its own
+    one-row loop.
 
     All arrays follow the padded-batch convention of
-    :class:`~repro.core.batch.InstanceBatch`.  The state is *mutable by
-    design*: :mod:`repro.service.state` grows the task axis in place as new
-    tasks are submitted, and :meth:`clone` provides the deep copy used for
-    what-if projections ("when will my task finish?") that must not disturb
-    the live state.
+    :class:`~repro.core.batch.InstanceBatch`, and the state is mutated in
+    place.
 
     Invariant: pausing and resuming never changes the trajectory.  Between
     events the allocation is constant, and every built-in policy is
@@ -296,23 +293,6 @@ class BatchSimulationState:
     def all_done(self) -> bool:
         """True when no row has outstanding work."""
         return bool(self.done_rows().all())
-
-    def clone(self) -> "BatchSimulationState":
-        """Deep copy (the batch itself is shared — kernels never mutate it)."""
-        return BatchSimulationState(
-            batch=self.batch,
-            releases=self.releases.copy(),
-            atol=self.atol,
-            t=self.t.copy(),
-            remaining=self.remaining.copy(),
-            work_done=self.work_done.copy(),
-            completed=self.completed.copy(),
-            released=self.released.copy(),
-            completion_times=self.completion_times.copy(),
-            num_events=self.num_events.copy(),
-            finish_tol=self.finish_tol.copy(),
-            traces=None,
-        )
 
     def result(self, policy_name: str) -> BatchSimulationResult:
         """Package the current state as a :class:`BatchSimulationResult`."""

@@ -107,7 +107,6 @@ class ServiceConfig:
     virtual_time: bool = False
     atol: float = 1e-10
     drain_grace: float = 5.0
-    kernel: str = "auto"  # event-loop tier; 'auto' uses compiled when numba is installed
     journal_dir: "str | None" = None  # None: in-memory only (no durability)
     fsync: str = "interval"  # 'always' | 'interval' | 'off'
     fsync_interval: float = 0.05
@@ -144,12 +143,15 @@ class SchedulerService:
                 snapshot_every=self.config.snapshot_every,
                 observe=self.metrics.observe,
             )
-            recovery = self.durability.recover(
-                P=self.config.P,
-                policy=self.config.policy,
-                atol=self.config.atol,
-                kernel=self.config.kernel,
-            )
+            try:
+                recovery = self.durability.recover(
+                    P=self.config.P, policy=self.config.policy, atol=self.config.atol
+                )
+            except BaseException:
+                # A refused or failed recovery must not leak the journal's
+                # open segment: nobody else holds the durability object.
+                self.durability.close()
+                raise
             self.state = recovery.state
             self.idempotency.load(recovery.idempotency)
             self.rejected = recovery.rejected
@@ -168,10 +170,7 @@ class SchedulerService:
             )
         else:
             self.state = LiveSystemState(
-                P=self.config.P,
-                policy=self.config.policy,
-                atol=self.config.atol,
-                kernel=self.config.kernel,
+                P=self.config.P, policy=self.config.policy, atol=self.config.atol
             )
         self.limiter = ClientRateLimiter(
             self.config.rate_limit, self.config.rate_burst

@@ -1,26 +1,36 @@
 """The live system behind the scheduling service.
 
-:class:`LiveSystemState` wraps one row (``B = 1``) of the batched
-simulation engine and exposes the online operations the service needs:
-submit a task *now*, cancel one, ask for its current processor share, or
-project its completion.  Every operation first advances the simulation
-**incrementally** — :func:`repro.batch.sim_kernels.advance_simulation_state`
-runs from the current virtual time up to ``now`` — instead of replaying the
-whole history from ``t = 0``; at a thousand live tasks that is the
-difference between one event step and thousands (see
-``benchmarks/bench_service.py``).
+:class:`LiveSystemState` runs one malleable-task system in virtual time and
+exposes the online operations the service needs: submit a task *now*,
+cancel one, ask for its current processor share, or project its
+completion.  Every operation first advances the system **incrementally**,
+from the current virtual time up to ``now``, instead of replaying the whole
+history from ``t = 0``; at a thousand live tasks that is the difference
+between one event step and thousands (see ``benchmarks/bench_service.py``).
 
-Dynamic arrival rides entirely on the engine's release-time machinery: a
-task submitted at ``now`` occupies a fresh column with ``release = now``.
-If the system was idle (the clock frozen at an earlier completion), the
-task stays *pending* and the engine's idle-advance moves the clock to
-``now`` before any work is granted — no phantom work can accrue over the
+The advance is a one-row event loop with the event rules of the batched
+engine (:func:`repro.batch.sim_kernels.advance_simulation_state`): the same
+completion tolerance and forced-completion rescue, a horizon pause counted
+as one event, and the same :class:`~repro.core.exceptions.SimulationError`
+checks for negative rates, over-subscription, stalls and the
+``8 n_max + 16`` event bound.  What it adds is a **cached allocation**.
+WDEQ (Algorithm 1 of the paper) reshares only when the active set changes
+— a submission, a completion or a cancellation — so the shares are computed
+once per change (with :func:`repro.algorithms.wdeq.wdeq_allocation` for
+``wdeq`` and ``deq``, ``min(delta, w P / W)`` for ``fair-share``) and every
+advance step, :meth:`~LiveSystemState.shares` and
+:meth:`~LiveSystemState.share_of` reuse them until the next change.
+
+Dynamic arrival is a release at the submit time.  If the system was idle
+(the clock frozen at an earlier completion), the submission first spends
+one idle-gap event moving the clock to ``now``, exactly as the batched
+engine does before a pending release — no phantom work accrues over the
 gap.  Because the built-in policies are memoryless, pausing at arbitrary
 query times never changes the trajectory, and pauses at submit times align
 with the oracle's release events, so a from-scratch
 :func:`~repro.batch.sim_kernels.simulate_batch` over the full submission
-history reproduces the live run event-for-event — the differential test in
-``tests/test_service.py`` pins exactly that.
+history reproduces the live run event-for-event — the differential tests in
+``tests/test_service.py`` pin exactly that.
 
 The task axis is append-only (capacity doubles like a vector) until the
 dead-slot count dominates, at which point :meth:`LiveSystemState.compact`
@@ -30,22 +40,23 @@ any future allocation, so compaction is invisible to the trajectory.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.algorithms.wdeq import wdeq_allocation
 from repro.batch.sim_kernels import (
     BatchPolicy,
-    BatchSimulationState,
     DeqBatchPolicy,
     FairShareNoCapBatchPolicy,
     WdeqBatchPolicy,
-    advance_simulation_state,
+    simulate_batch,
 )
-from repro.batch.compiled import resolve_kernel
 from repro.core.batch import InstanceBatch
+from repro.core.exceptions import SimulationError
 
 __all__ = [
     "POLICY_NAMES",
@@ -56,17 +67,42 @@ __all__ = [
     "LiveSystemState",
 ]
 
-#: Wire names of the policies the service can run.
-_POLICY_FACTORIES = {
-    "wdeq": WdeqBatchPolicy,
-    "deq": DeqBatchPolicy,
-    "fair-share": FairShareNoCapBatchPolicy,
+
+def _fair_share(P: float, weights: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    if not weights.size:
+        return weights
+    total = weights.sum()
+    if total <= 0:
+        raise SimulationError("FairShareNoCapBatchPolicy requires positive weights")
+    return np.minimum(deltas, weights * (P / total))
+
+
+#: Wire name -> (batched policy, the same rule over the running tasks of one
+#: row as ``(P, weights, deltas) -> rates``).
+_POLICIES: "dict[str, tuple[type[BatchPolicy], Callable[..., np.ndarray]]]" = {
+    "wdeq": (WdeqBatchPolicy, wdeq_allocation),
+    "deq": (DeqBatchPolicy, lambda P, weights, deltas: wdeq_allocation(P, np.ones_like(weights), deltas)),
+    "fair-share": (FairShareNoCapBatchPolicy, _fair_share),
 }
 
-POLICY_NAMES: "tuple[str, ...]" = tuple(_POLICY_FACTORIES)
+#: Wire names of the policies the service can run.
+POLICY_NAMES: "tuple[str, ...]" = tuple(_POLICIES)
 
 #: Initial/minimum width of the task axis.
 _MIN_CAPACITY = 64
+
+#: Per-slot columns; the boolean ones start True (inert padding).
+_FLOAT_COLUMNS = (
+    "volumes",
+    "weights",
+    "deltas",
+    "releases",
+    "remaining",
+    "work_done",
+    "completion_times",
+    "finish_tol",
+)
+_BOOL_COLUMNS = ("completed", "released")
 
 #: Shape of auto-assigned task ids; explicit ids that match it advance the
 #: auto counter so journal replays stay on the live run's id trajectory.
@@ -76,7 +112,7 @@ _AUTO_ID_PATTERN = re.compile(r"t(\d+)")
 def make_policy(name: str) -> BatchPolicy:
     """Instantiate a batched policy from its wire name (see POLICY_NAMES)."""
     try:
-        return _POLICY_FACTORIES[name]()
+        return _POLICIES[name][0]()
     except KeyError:
         raise ValueError(
             f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
@@ -96,7 +132,7 @@ class TaskRecord:
     """Bookkeeping for one submitted task.
 
     ``status`` walks ``running -> completed | cancelled``; ``slot`` is the
-    task's current column in the padded arrays (rewritten by compaction,
+    task's current column in the per-slot arrays (rewritten by compaction,
     ``-1`` once the column was dropped).
     """
 
@@ -121,68 +157,45 @@ class LiveSystemState:
         Wire name of the allocation policy (``wdeq``, ``deq``,
         ``fair-share``).
     atol:
-        Completion-detection tolerance, forwarded to the engine.
-    kernel:
-        Event-loop tier (``auto``/``numpy``/``compiled``), resolved once at
-        construction and forwarded to every engine call.  ``auto`` picks the
-        compiled tier when numba is importable; the service's traces are
-        always off and its policies are built-in, so the compiled core
-        applies whenever it is installed.
+        Completion-detection tolerance, as in the batched engine.
     """
 
-    def __init__(self, P: float, policy: str = "wdeq", atol: float = 1e-10, kernel: str = "auto"):
+    def __init__(self, P: float, policy: str = "wdeq", atol: float = 1e-10):
         if P <= 0:
             raise ValueError(f"P must be positive, got {P}")
         self.P = float(P)
         self.policy_name = policy
         self.policy = make_policy(policy)
-        self.kernel = resolve_kernel(kernel)
+        self._rule = _POLICIES[policy][1]
         self.atol = float(atol)
         self.records: "dict[str, TaskRecord]" = {}
-        self._running: "set[str]" = set()
         self._slot_task: "list[str]" = []  # task id per used slot, in order
-        # Live-by-slot bitmap: completion detection diffs this against the
-        # engine's `completed` in one vector op instead of a Python loop
-        # over every running task (the difference between O(1) and O(live)
-        # per request at a thousand live tasks).
-        self._live_slots = np.zeros(_MIN_CAPACITY, dtype=bool)
+        self._columns = self._blank_columns(_MIN_CAPACITY)
+        self._t = 0.0
+        self._num_events = 0
+        # Slots of the running tasks, ascending, and the cached allocation
+        # over them (None when the active set changed since it was computed).
+        self._active = np.zeros(0, dtype=np.intp)
+        self._rates: "np.ndarray | None" = None
         self.submitted = 0
         self.completed = 0
         self.cancelled = 0
         self._auto_id = 0
-        self.state = self._blank_state(_MIN_CAPACITY)
 
     # ----------------------------------------------------------------- #
     # Array plumbing
     # ----------------------------------------------------------------- #
 
-    def _blank_state(self, capacity: int) -> BatchSimulationState:
-        batch = InstanceBatch(
-            P=np.array([self.P]),
-            volumes=np.zeros((1, capacity)),
-            weights=np.zeros((1, capacity)),
-            deltas=np.ones((1, capacity)),
-            mask=np.zeros((1, capacity), dtype=bool),
-        )
-        return BatchSimulationState(
-            batch=batch,
-            releases=np.zeros((1, capacity)),
-            atol=self.atol,
-            t=np.zeros(1),
-            remaining=np.zeros((1, capacity)),
-            work_done=np.zeros((1, capacity)),
-            completed=np.ones((1, capacity), dtype=bool),  # all padding
-            released=np.ones((1, capacity), dtype=bool),
-            completion_times=np.zeros((1, capacity)),
-            num_events=np.zeros(1, dtype=int),
-            finish_tol=self.atol * np.ones((1, capacity)),
-            traces=None,
-        )
+    @staticmethod
+    def _blank_columns(capacity: int) -> "dict[str, np.ndarray]":
+        columns = {name: np.zeros(capacity) for name in _FLOAT_COLUMNS}
+        columns.update({name: np.ones(capacity, dtype=bool) for name in _BOOL_COLUMNS})
+        return columns
 
     @property
     def capacity(self) -> int:
         """Current width of the task axis."""
-        return self.state.batch.n_max
+        return len(self._columns["volumes"])
 
     @property
     def used_slots(self) -> int:
@@ -192,51 +205,37 @@ class LiveSystemState:
     @property
     def live_count(self) -> int:
         """Number of tasks currently running (submitted, not finished)."""
-        return len(self._running)
+        return len(self._active)
 
     @property
     def now(self) -> float:
         """The current virtual time of the system."""
-        return float(self.state.t[0])
+        return self._t
 
     @property
     def total_events(self) -> int:
         """Engine events processed since the service started."""
-        return int(self.state.num_events[0])
+        return self._num_events
 
     def _copy_columns(self, capacity: int, keep: "np.ndarray | None" = None) -> None:
-        """Re-home the state into fresh arrays of width ``capacity``.
+        """Re-home the columns into fresh arrays of width ``capacity``.
 
         ``keep`` selects the columns to carry over (default: all used
         slots); dropped columns must already be inert (completed).
         """
-        old = self.state
         if keep is None:
             keep = np.arange(self.used_slots)
         n = len(keep)
-        new = self._blank_state(capacity)
-        for name in ("volumes", "weights", "deltas", "mask"):
-            getattr(new.batch, name)[0, :n] = getattr(old.batch, name)[0, keep]
-        for name in (
-            "releases",
-            "remaining",
-            "work_done",
-            "completed",
-            "released",
-            "completion_times",
-            "finish_tol",
-        ):
-            getattr(new, name)[0, :n] = getattr(old, name)[0, keep]
-        new.t[:] = old.t
-        new.num_events[:] = old.num_events
-        self.state = new
-        live = np.zeros(capacity, dtype=bool)
-        live[:n] = self._live_slots[keep]
-        self._live_slots = live
+        new = self._blank_columns(capacity)
+        for name, column in self._columns.items():
+            new[name][:n] = column[keep]
+        self._columns = new
         kept_ids = [self._slot_task[int(s)] for s in keep]
         self._slot_task = kept_ids
         for slot, task_id in enumerate(kept_ids):
             self.records[task_id].slot = slot
+        self._active = np.flatnonzero(~new["completed"][:n])
+        self._rates = None
 
     def compact(self) -> int:
         """Drop dead (completed/cancelled) columns; returns how many.
@@ -246,12 +245,12 @@ class LiveSystemState:
         completion times with ``slot = -1``.
         """
         used = self.used_slots
-        dead = self.state.completed[0, :used] & self.state.batch.mask[0, :used]
-        keep = np.nonzero(~dead)[0]
+        dead = self._columns["completed"][:used]
+        keep = np.flatnonzero(~dead)
         dropped = used - len(keep)
         if dropped == 0:
             return 0
-        for slot in np.nonzero(dead)[0]:
+        for slot in np.flatnonzero(dead):
             self.records[self._slot_task[int(slot)]].slot = -1
         self._copy_columns(max(_MIN_CAPACITY, 2 * len(keep)), keep)
         return dropped
@@ -267,6 +266,101 @@ class LiveSystemState:
         return used
 
     # ----------------------------------------------------------------- #
+    # The one-row engine
+    # ----------------------------------------------------------------- #
+
+    def _allocation(self) -> np.ndarray:
+        """Rates of the active tasks, recomputed only after the set changed."""
+        if self._rates is None:
+            act = self._active
+            deltas = self._columns["deltas"][act]
+            raw = self._rule(self.P, self._columns["weights"][act], deltas)
+            if np.any(raw < -self.atol):
+                raise SimulationError(
+                    f"policy {self.policy.name!r} returned a negative rate"
+                )
+            rates = np.clip(raw, 0.0, deltas)
+            total = float(rates.sum())
+            if total > self.P * (1 + 1e-9) + self.atol:
+                raise SimulationError(
+                    f"policy {self.policy.name!r} over-subscribed the platform: "
+                    f"{total} > P={self.P}"
+                )
+            self._rates = rates
+        return self._rates
+
+    def _run(self, horizon: float) -> None:
+        """Process events until the clock reaches ``horizon`` or work runs out.
+
+        One iteration is one event of the batched engine's loop on a single
+        row with no pending release: move to the next completion or to the
+        horizon, whichever is first.
+        """
+        atol = self.atol
+        columns = self._columns
+        remaining_col = columns["remaining"]
+        max_events = 8 * self.capacity + 16
+        steps = 0
+        while self._active.size and self._t < horizon:
+            steps += 1
+            if steps > max_events:
+                raise SimulationError(
+                    f"live simulation exceeded {max_events} events in one advance; "
+                    "the policy is likely stalling"
+                )
+            act = self._active
+            rates = self._allocation()
+            remaining = remaining_col[act]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                finish_in = np.where(rates > atol, remaining / np.maximum(rates, atol), np.inf)
+            dt_completion = float(finish_in.min())
+            dt_horizon = horizon - self._t
+            dt = min(dt_completion, dt_horizon)
+            if not math.isfinite(dt):
+                raise SimulationError(
+                    f"policy {self.policy.name!r} stalled: no active task receives processors"
+                )
+            dt = max(dt, 0.0)
+
+            self._num_events += 1
+            self._t += dt
+            progressed = rates * dt
+            columns["work_done"][act] += progressed
+            remaining = np.maximum(remaining - progressed, 0.0)
+            finished = remaining <= columns["finish_tol"][act]
+            if dt_completion <= dt_horizon and not finished.any():
+                # Numerical corner case (as in the batched engine): the
+                # completion was due but no task crossed the tolerance, so
+                # the task closest to completion is forced out.
+                winner = int(finish_in.argmin())
+                finished[winner] = True
+                remaining[winner] = 0.0
+            remaining_col[act] = remaining
+            if finished.any():
+                self._retire(finished, "completed")
+
+    def _retire(self, finished: np.ndarray, status: str) -> None:
+        """Take the active tasks flagged in ``finished`` out at the current time."""
+        slots = self._active[finished]
+        columns = self._columns
+        columns["completed"][slots] = True
+        columns["completion_times"][slots] = self._t
+        for slot in slots.tolist():
+            record = self.records[self._slot_task[slot]]
+            record.status = status
+            record.completion_time = self._t
+        if status == "completed":
+            self.completed += len(slots)
+        else:
+            self.cancelled += len(slots)
+        self._active = self._active[~finished]
+        self._rates = None
+
+    def _position(self, slot: int) -> int:
+        """Index of a running task's slot in the active set."""
+        return int(np.searchsorted(self._active, slot))
+
+    # ----------------------------------------------------------------- #
     # Time
     # ----------------------------------------------------------------- #
 
@@ -275,25 +369,11 @@ class LiveSystemState:
 
         Returns the effective time: ``max(now, current clock)``.  The clock
         itself may stay behind ``now`` when the system is idle — the next
-        release will pull it forward, which is what prevents phantom work.
+        submission pulls it forward, which is what prevents phantom work.
         """
-        now = max(float(now), float(self.state.t[0]))
-        advance_simulation_state(self.state, self.policy, until=now, kernel=self.kernel)
-        self._sync_completions()
+        now = max(float(now), self._t)
+        self._run(now)
         return now
-
-    def _sync_completions(self) -> None:
-        newly = self._live_slots & self.state.completed[0]
-        if not newly.any():
-            return
-        times = self.state.completion_times
-        for slot in np.nonzero(newly)[0]:
-            record = self.records[self._slot_task[int(slot)]]
-            record.status = "completed"
-            record.completion_time = float(times[0, slot])
-            self._running.discard(record.task_id)
-            self.completed += 1
-        self._live_slots[newly] = False
 
     # ----------------------------------------------------------------- #
     # Operations
@@ -340,23 +420,31 @@ class LiveSystemState:
             raise DuplicateTaskError(f"task id {task_id!r} already exists")
 
         now = self.advance_to(now)
+        if now > self._t + self.atol:
+            # The system went idle before ``now`` (the clock froze at the
+            # last completion): the engine spends one event on the idle gap
+            # before the release fires, and no work accrues over it.
+            self._num_events += 1
+            self._t += now - self._t
+        # The release fires inline: a due release joins the active set in
+        # the same step that reaches its time, as in the batched engine.
         slot = self._next_slot()
-        state = self.state  # _next_slot may have re-homed the arrays
-        batch = state.batch
-        batch.volumes[0, slot] = volume
-        batch.weights[0, slot] = weight
-        batch.deltas[0, slot] = delta
-        batch.mask[0, slot] = True
-        state.releases[0, slot] = now
-        state.remaining[0, slot] = volume
-        state.work_done[0, slot] = 0.0
-        state.completion_times[0, slot] = 0.0
-        state.completed[0, slot] = False
-        state.finish_tol[0, slot] = self.atol * max(1.0, volume)
-        # Matches the engine's release rule: due releases fire in the same
-        # step that reaches their time, so a submit while the clock already
-        # sits at ``now`` must not cost an extra zero-dt event.
-        state.released[0, slot] = now <= state.t[0] + self.atol
+        columns = self._columns  # _next_slot may have re-homed the arrays
+        for name, value in (
+            ("volumes", volume),
+            ("weights", weight),
+            ("deltas", delta),
+            ("releases", now),
+            ("remaining", volume),
+            ("work_done", 0.0),
+            ("completion_times", 0.0),
+            ("finish_tol", self.atol * max(1.0, volume)),
+            ("completed", False),
+            ("released", True),
+        ):
+            columns[name][slot] = value
+        self._active = np.append(self._active, slot)
+        self._rates = None
 
         record = TaskRecord(
             task_id=task_id,
@@ -368,11 +456,7 @@ class LiveSystemState:
         )
         self.records[task_id] = record
         self._slot_task.append(task_id)
-        self._running.add(task_id)
-        self._live_slots[slot] = True
         self.submitted += 1
-        # Fire the release (idle systems advance their frozen clock here).
-        self.advance_to(now)
         return record
 
     def cancel(self, task_id: str, now: float = 0.0) -> bool:
@@ -383,33 +467,15 @@ class LiveSystemState:
         self.advance_to(now)
         if record.status != "running":
             return False
-        state = self.state
-        state.completed[0, record.slot] = True
-        state.remaining[0, record.slot] = 0.0
-        state.completion_times[0, record.slot] = state.t[0]
-        record.status = "cancelled"
-        record.completion_time = float(state.t[0])
-        self._running.discard(task_id)
-        self._live_slots[record.slot] = False
-        self.cancelled += 1
+        self._columns["remaining"][record.slot] = 0.0
+        self._retire(self._active == record.slot, "cancelled")
         return True
 
     def shares(self) -> np.ndarray:
         """Current per-slot processor shares, shape ``(capacity,)``."""
-        state = self.state
-        batch = state.batch
-        active = state.released & ~state.completed & batch.mask
-        if not active.any():
-            return np.zeros(self.capacity)
-        rates = self.policy.allocate(
-            batch.P,
-            batch.weights,
-            batch.deltas,
-            state.work_done,
-            state.t[:, None] - state.releases,
-            active,
-        )
-        return np.where(active, np.clip(rates, 0.0, batch.deltas), 0.0)[0]
+        shares = np.zeros(self.capacity)
+        shares[self._active] = self._allocation()
+        return shares
 
     def share_of(self, task_id: str, now: "float | None" = None) -> float:
         """The processor share ``task_id`` receives at ``now``."""
@@ -420,7 +486,7 @@ class LiveSystemState:
             self.advance_to(now)
         if record.status != "running":
             return 0.0
-        return float(self.shares()[record.slot])
+        return float(self._allocation()[self._position(record.slot)])
 
     def remaining_of(self, task_id: str) -> float:
         """Work left on ``task_id`` (0.0 once finished)."""
@@ -429,24 +495,31 @@ class LiveSystemState:
             raise UnknownTaskError(task_id)
         if record.status != "running":
             return 0.0
-        return float(self.state.remaining[0, record.slot])
+        return float(self._columns["remaining"][record.slot])
 
     def project_completion(self, task_id: str) -> "float | None":
         """What-if: when would ``task_id`` finish if no more tasks arrive?
 
-        Clones the live state and runs the clone to completion under the
-        current policy; the live system is untouched.  Returns the task's
-        actual completion time when it already finished.
+        Runs the work left on every running task to completion in the
+        batched engine under the current policy (the policies are
+        memoryless, so starting that run at ``now`` loses nothing); the
+        live system is untouched.  Returns the task's actual completion
+        time when it already finished.
         """
         record = self.records.get(task_id)
         if record is None:
             raise UnknownTaskError(task_id)
         if record.status != "running":
             return record.completion_time
-        ghost = self.state.clone()
-        # Pending releases in the clone fire on their own; run to the end.
-        advance_simulation_state(ghost, self.policy, until=None, kernel=self.kernel)
-        return float(ghost.completion_times[0, record.slot])
+        columns, act = self._columns, self._active
+        left = InstanceBatch.from_arrays(
+            P=np.array([self.P]),
+            volumes=columns["remaining"][act][None, :],
+            weights=columns["weights"][act][None, :],
+            deltas=columns["deltas"][act][None, :],
+        )
+        result = simulate_batch(left, self.policy, atol=self.atol)
+        return self._t + float(result.completion_times[0, self._position(record.slot)])
 
     def snapshot(self) -> "dict[str, float | int]":
         """Aggregate counters for :class:`repro.api.StateReply`."""
@@ -477,16 +550,15 @@ class LiveSystemState:
         """The full live system as one JSON-representable mapping.
 
         Everything needed to resume is captured — task records, counters,
-        the engine arrays of every *used* column, the virtual clock and the
-        event count.  Floats survive the JSON round trip bit-exactly
+        the per-slot arrays of every *used* column, the virtual clock and
+        the event count.  Floats survive the JSON round trip bit-exactly
         (``repr`` round-trips IEEE doubles), so a restored system is not
         merely tolerance-close but identical; the differential tests in
-        ``tests/test_journal.py`` pin that.  The resolved ``kernel`` is a
-        node-local performance choice and is deliberately not persisted.
+        ``tests/test_journal.py`` pin that.  The cached allocation is not
+        persisted: it is a function of the active set.
         """
         used = self.used_slots
-        state = self.state
-        batch = state.batch
+        columns = self._columns
         return {
             "P": self.P,
             "policy": self.policy_name,
@@ -498,62 +570,54 @@ class LiveSystemState:
             "completed_count": self.completed,
             "cancelled_count": self.cancelled,
             "slot_task": list(self._slot_task),
-            "live_slots": self._live_slots[:used].astype(int).tolist(),
+            "live_slots": (~columns["completed"][:used]).astype(int).tolist(),
             "batch": {
-                "volumes": batch.volumes[0, :used].tolist(),
-                "weights": batch.weights[0, :used].tolist(),
-                "deltas": batch.deltas[0, :used].tolist(),
+                name: columns[name][:used].tolist() for name in ("volumes", "weights", "deltas")
             },
             "arrays": {
-                name: np.asarray(getattr(state, name)[0, :used]).astype(float).tolist()
+                name: columns[name][:used].astype(float).tolist()
                 for name in self._SNAPSHOT_ARRAYS
             },
-            "records": [asdict(record) for record in self.records.values()],
+            # A field copy: records hold only scalars, so the deep copy of
+            # dataclasses.asdict buys nothing and costs most of a snapshot.
+            "records": [dict(vars(record)) for record in self.records.values()],
         }
 
     @classmethod
-    def from_snapshot(
-        cls, payload: "dict[str, Any]", kernel: str = "auto"
-    ) -> "LiveSystemState":
+    def from_snapshot(cls, payload: "dict[str, Any]") -> "LiveSystemState":
         """Rebuild a live system from :meth:`to_snapshot` output.
 
         The restored system continues exactly where the snapshot was taken:
-        same virtual clock, same event count, same per-column engine state —
+        same virtual clock, same event count, same per-column state —
         advancing it produces the same trajectory the original would have.
         """
         live = cls(
             P=float(payload["P"]),
             policy=str(payload["policy"]),
             atol=float(payload["atol"]),
-            kernel=kernel,
         )
         slot_task = [str(task_id) for task_id in payload["slot_task"]]
         used = len(slot_task)
         capacity = _MIN_CAPACITY
         while capacity < used:
             capacity *= 2
-        state = live._blank_state(capacity)
-        batch = state.batch
+        columns = cls._blank_columns(capacity)
         for name in ("volumes", "weights", "deltas"):
-            getattr(batch, name)[0, :used] = payload["batch"][name]
-        batch.mask[0, :used] = True
+            columns[name][:used] = payload["batch"][name]
         for name in cls._SNAPSHOT_ARRAYS:
             values = np.asarray(payload["arrays"][name], dtype=float)
-            target = getattr(state, name)
-            target[0, :used] = values.astype(target.dtype)
-        state.t[0] = float(payload["t"])
-        state.num_events[0] = int(payload["num_events"])
-        live.state = state
+            columns[name][:used] = values.astype(columns[name].dtype)
+        if not columns["released"][:used].all():
+            raise ValueError("snapshot holds an unreleased task")
+        live._columns = columns
+        live._t = float(payload["t"])
+        live._num_events = int(payload["num_events"])
         live._slot_task = slot_task
-        live._live_slots = np.zeros(capacity, dtype=bool)
-        live._live_slots[:used] = np.asarray(payload["live_slots"], dtype=bool)
+        live._active = np.flatnonzero(~columns["completed"][:used])
         live.records = {}
-        live._running = set()
         for fields in payload["records"]:
             record = TaskRecord(**fields)
             live.records[record.task_id] = record
-            if record.status == "running":
-                live._running.add(record.task_id)
         live._auto_id = int(payload["auto_id"])
         live.submitted = int(payload["submitted"])
         live.completed = int(payload["completed_count"])

@@ -340,32 +340,8 @@ class TestFloat32Mode:
 
 
 # --------------------------------------------------------------------- #
-# Service and JIT plumbing
+# JIT plumbing
 # --------------------------------------------------------------------- #
-
-
-class TestServiceKernel:
-    def test_live_state_resolves_kernel_at_init(self, monkeypatch):
-        from repro.service.state import LiveSystemState
-
-        monkeypatch.setattr(compiled, "NUMBA_AVAILABLE", False)
-        assert LiveSystemState(P=2.0).kernel == "numpy"
-        monkeypatch.setattr(compiled, "NUMBA_AVAILABLE", True)
-        assert LiveSystemState(P=2.0, kernel="auto").kernel == "compiled"
-
-    def test_live_state_advances_identically_on_both_tiers(self, force_compiled):
-        from repro.service.state import LiveSystemState
-
-        outcomes = {}
-        for kernel in ("numpy", "compiled"):
-            live = LiveSystemState(P=2.0, kernel=kernel)
-            live.submit(volume=3.0, weight=1.0, delta=1.5, now=0.0, task_id="a")
-            live.submit(volume=1.0, weight=2.0, delta=1.0, now=0.5, task_id="b")
-            projected = live.project_completion("a")
-            live.advance_to(10.0)
-            outcomes[kernel] = (projected, live.records["a"].completion_time,
-                                live.records["b"].completion_time)
-        assert outcomes["numpy"] == pytest.approx(outcomes["compiled"], rel=1e-12)
 
 
 @pytest.mark.skipif(not numba_available(), reason="numba not installed")

@@ -93,6 +93,17 @@ class TestFraming:
 # ---------------------------------------------------------------------------
 
 
+def _segments(directory) -> list:
+    """The segment files of a journal directory (the handle is closed again)."""
+    with Journal(directory) as journal:
+        return journal.segment_paths()
+
+
+def _replay_seqs(directory) -> "list[int]":
+    with Journal(directory) as journal:
+        return [seq for seq, _ in journal.replay()]
+
+
 def _submit(i: int, key: "str | None" = None) -> JournalSubmit:
     return JournalSubmit(
         task_id=f"t{i}", volume=1.0 + i, weight=1.0, delta=2.0, now=float(i),
@@ -150,7 +161,7 @@ class TestJournal:
         with Journal(reference) as journal:
             for i in range(3):
                 journal.append(_submit(i, key=f"k{i}"))
-        (segment,) = Journal(reference).segment_paths()
+        (segment,) = _segments(reference)
         data = segment.read_bytes()
         boundaries = [0]
         offset = 0
@@ -174,7 +185,7 @@ class TestJournal:
     def test_garbage_tail_is_truncated_and_overwritten(self, tmp_path):
         with Journal(tmp_path) as journal:
             journal.append(_submit(0))
-        (segment,) = Journal(tmp_path).segment_paths()
+        (segment,) = _segments(tmp_path)
         with open(segment, "ab") as handle:
             handle.write(b"\xde\xad\xbe\xef partial")
         with Journal(tmp_path) as journal:
@@ -187,21 +198,21 @@ class TestJournal:
         with Journal(tmp_path, segment_bytes=1) as journal:
             for i in range(3):
                 journal.append(_submit(i))
-        first = Journal(tmp_path).segment_paths()[0]
+        first = _segments(tmp_path)[0]
         data = bytearray(first.read_bytes())
         data[len(data) // 2] ^= 0xFF
         first.write_bytes(bytes(data))
         with pytest.raises(JournalCorruptError, match="sealed segment"):
-            list(Journal(tmp_path).replay())
+            _replay_seqs(tmp_path)
 
     def test_sequence_gap_raises(self, tmp_path):
         with Journal(tmp_path, segment_bytes=1) as journal:
             for i in range(3):
                 journal.append(_submit(i))
-        middle = Journal(tmp_path).segment_paths()[1]
+        middle = _segments(tmp_path)[1]
         middle.unlink()
         with pytest.raises(JournalCorruptError, match="sequence gap"):
-            list(Journal(tmp_path).replay())
+            _replay_seqs(tmp_path)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -217,12 +228,12 @@ class TestJournal:
         with Journal(directory, fsync=fsync) as journal:
             for i in range(3):
                 journal.append(_submit(i))
-        (segment,) = Journal(directory).segment_paths()
+        (segment,) = _segments(directory)
         baseline = tmp_path / "baseline"
         with Journal(baseline, fsync="off") as journal:
             for i in range(3):
                 journal.append(_submit(i))
-        assert segment.read_bytes() == Journal(baseline).segment_paths()[0].read_bytes()
+        assert segment.read_bytes() == _segments(baseline)[0].read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +378,8 @@ class TestStateSnapshot:
         durability.close()
         fresh = ServiceDurability(tmp_path)
         with pytest.raises(ValueError, match="refusing to replay"):
-            fresh.recover(P=16.0, policy="wdeq", atol=1e-10, kernel="auto")
+            fresh.recover(P=16.0, policy="wdeq", atol=1e-10)
+        fresh.close()
 
 
 class TestRecovery:
@@ -386,30 +398,31 @@ class TestRecovery:
 
         state = LiveSystemState(P=8.0)
         resolved = _apply(state, ops, on_op=journal_op)
-        recovered = durability.recover(P=8.0, policy="wdeq", atol=1e-10, kernel="auto")
+        recovered = durability.recover(P=8.0, policy="wdeq", atol=1e-10)
         durability.close()
         assert recovered.state.to_snapshot() == state.to_snapshot()
         assert recovered.state.to_snapshot() == _replay(resolved).to_snapshot()
 
     def test_recovery_rebuilds_idempotency_from_the_suffix(self, tmp_path):
-        journal = Journal(tmp_path)
         state = LiveSystemState(P=8.0)
         record = state.submit(2.0, 1.0, 1.0, now=0.5)
-        journal.append(
-            JournalSubmit(
-                task_id=record.task_id, volume=2.0, weight=1.0, delta=1.0, now=0.5,
-                idempotency_key="retry-me",
+        with Journal(tmp_path) as journal:
+            journal.append(
+                JournalSubmit(
+                    task_id=record.task_id, volume=2.0, weight=1.0, delta=1.0, now=0.5,
+                    idempotency_key="retry-me",
+                )
             )
-        )
-        journal.close()
-        result = recover_state(Journal(tmp_path), SnapshotStore(tmp_path), P=8.0)
+        with Journal(tmp_path) as journal:
+            result = recover_state(journal, SnapshotStore(tmp_path), P=8.0)
         assert result.recovered_events == 1
         reply = decode_message(result.idempotency["retry-me"])
         assert isinstance(reply, SubmitReply) and reply.task_id == record.task_id
         assert reply.share == pytest.approx(state.share_of(record.task_id))
 
     def test_empty_directory_recovers_fresh_state(self, tmp_path):
-        result = recover_state(Journal(tmp_path), SnapshotStore(tmp_path), P=4.0)
+        with Journal(tmp_path) as journal:
+            result = recover_state(journal, SnapshotStore(tmp_path), P=4.0)
         assert result.recovered_events == 0
         assert result.snapshot_seq == 0
         assert result.state.live_count == 0
@@ -432,7 +445,7 @@ class TestRecovery:
             durability.record_submit(record, None)
             durability.note_applied(state, IdempotencyTable(), 0)
         durability.close()
-        assert [s for s, _ in Journal(tmp_path).replay()] == list(range(9, 14))
+        assert _replay_seqs(tmp_path) == list(range(9, 14))
         return durability, state
 
     def test_fallback_snapshot_still_has_its_complete_suffix(self, tmp_path):
@@ -445,7 +458,8 @@ class TestRecovery:
         store = SnapshotStore(tmp_path)
         newest = store.paths()[-1]
         newest.write_bytes(b"00000000 not-the-right-checksum\n")
-        result = recover_state(Journal(tmp_path), store, P=8.0)
+        with Journal(tmp_path) as journal:
+            result = recover_state(journal, store, P=8.0)
         assert result.snapshot_seq == 8
         assert result.recovered_events == 5  # seqs 9..13
         assert result.state.to_snapshot() == state.to_snapshot()
@@ -460,8 +474,8 @@ class TestRecovery:
         store = SnapshotStore(tmp_path)
         for path in store.paths():
             path.unlink()
-        with pytest.raises(JournalCorruptError, match="recovery gap"):
-            recover_state(Journal(tmp_path), store, P=8.0)
+        with Journal(tmp_path) as journal, pytest.raises(JournalCorruptError, match="recovery gap"):
+            recover_state(journal, store, P=8.0)
 
 
 # ---------------------------------------------------------------------------

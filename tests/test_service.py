@@ -23,6 +23,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.api import (
     CancelReply,
@@ -265,6 +268,120 @@ class TestIncrementalMatchesFromScratch:
         assert live.records[b.task_id].completion_time == pytest.approx(
             float(oracle.completion_times[0, 1])
         )
+
+
+class LiveStateMachine(RuleBasedStateMachine):
+    """Random interleavings of every operation against a from-scratch model.
+
+    Submissions (with equal times, idle gaps and ``delta = P``),
+    cancellations, queries at arbitrary times and snapshot round trips
+    drive one live system.  After every step its shares must equal a fresh
+    allocation over the running tasks (the cache is never stale); at the
+    end every completion time must match one ``simulate_batch`` over the
+    acknowledged history, with each cancelled task's volume replaced by the
+    work it received.
+    """
+
+    policy = "wdeq"
+    P = 6.0
+
+    def __init__(self):
+        super().__init__()
+        self.live = LiveSystemState(P=self.P, policy=self.policy)
+        self.now = 0.0
+        self.ids: "list[str]" = []
+        self.volume: "dict[str, float]" = {}
+
+    @rule(
+        volume=st.floats(min_value=0.05, max_value=4.0),
+        weight=st.floats(min_value=0.2, max_value=3.0),
+        delta=st.one_of(st.floats(min_value=0.3, max_value=4.0), st.just(P), st.just(2 * P)),
+        gap=st.sampled_from([0.0, 0.0, 0.1, 0.7, 3.0, 20.0]),
+    )
+    def submit(self, volume, weight, delta, gap):
+        self.now += gap
+        record = self.live.submit(volume, weight, delta, now=self.now)
+        self.ids.append(record.task_id)
+        self.volume[record.task_id] = volume
+
+    @precondition(lambda self: self.ids)
+    @rule(data=st.data(), gap=st.sampled_from([0.0, 0.05, 0.4]))
+    def cancel(self, data, gap):
+        task_id = data.draw(st.sampled_from(self.ids))
+        self.now += gap
+        self.live.advance_to(self.now)
+        remaining = self.live.remaining_of(task_id)
+        if self.live.cancel(task_id, now=self.now):
+            self.volume[task_id] -= remaining
+
+    @precondition(lambda self: self.ids)
+    @rule(data=st.data(), offset=st.floats(min_value=0.0, max_value=2.0))
+    def query(self, data, offset):
+        task_id = data.draw(st.sampled_from(self.ids))
+        share = self.live.share_of(task_id, now=self.now + offset)
+        assert 0.0 <= share <= self.live.records[task_id].delta * (1 + 1e-12)
+
+    @rule()
+    def snapshot_round_trip(self):
+        payload = json.loads(json.dumps(self.live.to_snapshot()))
+        self.live = LiveSystemState.from_snapshot(payload)
+
+    @invariant()
+    def shares_match_a_fresh_allocation(self):
+        running = [r for r in self.live.records.values() if r.status == "running"]
+        assert self.live.live_count == len(running)
+        if not running:
+            return
+        weights = np.array([[r.weight for r in running]])
+        deltas = np.array([[r.delta for r in running]])
+        fresh = make_policy(self.policy).allocate(
+            np.array([self.P]), weights, deltas, None, None, np.ones_like(weights, dtype=bool)
+        )
+        shares = self.live.shares()[[r.slot for r in running]]
+        np.testing.assert_allclose(shares, np.minimum(fresh[0], deltas[0]), rtol=1e-12)
+        assert shares.sum() <= self.P * (1 + 1e-9)
+
+    def teardown(self):
+        if not self.ids:
+            return
+        self.live.advance_to(self.now + 1e6)
+        records = [self.live.records[task_id] for task_id in self.ids]
+        batch = InstanceBatch.from_arrays(
+            P=np.array([self.P]),
+            volumes=np.array([[self.volume[r.task_id] for r in records]]),
+            weights=np.array([[r.weight for r in records]]),
+            deltas=np.array([[r.delta for r in records]]),
+        )
+        oracle = simulate_batch(
+            batch,
+            make_policy(self.policy),
+            release_times=np.array([[r.submit_time for r in records]]),
+        )
+        np.testing.assert_allclose(
+            [r.completion_time for r in records],
+            oracle.completion_times[0],
+            rtol=1e-9,
+            atol=1e-12,
+        )
+
+
+class DeqLiveStateMachine(LiveStateMachine):
+    policy = "deq"
+
+
+class FairShareLiveStateMachine(LiveStateMachine):
+    policy = "fair-share"
+
+
+def _machine_test(machine: "type[RuleBasedStateMachine]") -> type:
+    case = machine.TestCase
+    case.settings = settings(max_examples=30, stateful_step_count=30, deadline=None)
+    return case
+
+
+TestLiveStateMachineWdeq = _machine_test(LiveStateMachine)
+TestLiveStateMachineDeq = _machine_test(DeqLiveStateMachine)
+TestLiveStateMachineFairShare = _machine_test(FairShareLiveStateMachine)
 
 
 # --------------------------------------------------------------------- #

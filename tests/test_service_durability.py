@@ -39,6 +39,7 @@ from repro.service import (
     ServiceError,
     ServiceUnavailable,
 )
+from repro.service import server as server_module
 from repro.service.state import LiveSystemState
 from tests.chaos import ServerProcess, free_port
 
@@ -255,6 +256,25 @@ class TestDurableRestart:
         with pytest.raises(ValueError, match="refusing to replay"):
             _durable(tmp_path, P=16.0)
 
+    def test_refused_recovery_closes_the_journal(self, tmp_path, monkeypatch):
+        first = _durable(tmp_path, snapshot_every=1)
+        _submit(first, 0, now=0.0)
+        first.close()
+        opened = []
+
+        class RecordingDurability(server_module.ServiceDurability):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(server_module, "ServiceDurability", RecordingDurability)
+        with pytest.raises(ValueError, match="refusing to replay"):
+            _durable(tmp_path, P=16.0)
+        (durability,) = opened
+        # The service never came to be, so nothing else could close the
+        # journal's open segment.
+        assert durability.journal._handle is None
+
     def test_durability_metrics_are_exposed(self, tmp_path):
         service = _durable(tmp_path, snapshot_every=2)
         for i in range(5):
@@ -420,6 +440,7 @@ class TestClientFailureModes:
                 state = await client.state()
                 assert state.submitted == 1
                 assert client.stats["retries"] == 1
+                await client.close()
             finally:
                 server.close()
                 await server.wait_closed()
@@ -461,6 +482,7 @@ class TestClientFailureModes:
                 assert client.stats["retries"] == 1
                 assert client.stats["unavailable"] == 1
                 assert client.stats["deduplicated"] == 0
+                await client.close()
             finally:
                 server.close()
                 await server.wait_closed()
