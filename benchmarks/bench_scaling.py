@@ -23,7 +23,8 @@ from repro.algorithms.lateness import minimize_max_lateness
 from repro.algorithms.makespan import minimal_makespan
 from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_schedule
-from repro.batch.kernels import PaddedBatch, water_filling_batch, wdeq_batch
+from repro.batch.kernels import water_filling_batch, wdeq_batch
+from repro.core.batch import InstanceBatch
 from repro.lp.interface import solve_ordered_relaxation
 from repro.experiments import run_experiment
 from repro.workloads.generators import cluster_instances
@@ -103,7 +104,7 @@ def test_experiment_e7_quick(benchmark):
 @pytest.fixture(scope="module")
 def cluster_batch_64x16():
     instances = list(cluster_instances(16, 64, rng=np.random.default_rng(7)))
-    return instances, PaddedBatch.from_instances(instances)
+    return instances, InstanceBatch.from_instances(instances)
 
 
 @pytest.mark.benchmark(group="batch-kernels")
@@ -165,9 +166,9 @@ def run_scaling_benchmark(
         lambda: [wdeq_schedule(inst) for inst in instances], repeats
     )
     benchmarks[f"wdeq_batch_{tag}"] = best_of(
-        lambda: wdeq_batch(PaddedBatch.from_instances(instances)), repeats
+        lambda: wdeq_batch(InstanceBatch.from_instances(instances)), repeats
     )
-    batch = PaddedBatch.from_instances(instances)
+    batch = InstanceBatch.from_instances(instances)
     completions = wdeq_batch(batch)
     benchmarks[f"water_filling_batch_{tag}"] = best_of(
         lambda: water_filling_batch(batch, completions), repeats

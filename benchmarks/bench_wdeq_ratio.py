@@ -16,7 +16,8 @@ import pytest
 
 from repro.algorithms.wdeq import wdeq_schedule
 from repro.analysis.ratios import wdeq_ratio
-from repro.batch.kernels import PaddedBatch, wdeq_ratio_batch
+from repro.batch.kernels import wdeq_ratio_batch
+from repro.core.batch import InstanceBatch
 from repro.core.bounds import combined_lower_bound
 from repro.experiments import run_experiment
 from repro.simulation.nonclairvoyant import run_wdeq_online
@@ -51,7 +52,7 @@ def test_wdeq_ratio_exact_small(benchmark, uniform_instance_n4):
 @pytest.mark.benchmark(group="batch-kernels")
 def test_wdeq_ratio_batch_64x16(benchmark):
     instances = list(cluster_instances(16, 64, rng=np.random.default_rng(7)))
-    batch = PaddedBatch.from_instances(instances)
+    batch = InstanceBatch.from_instances(instances)
     ratios = benchmark(wdeq_ratio_batch, batch)
     assert ratios.shape == (64,)
     assert float(ratios.max()) <= 2.0 + 1e-6
@@ -94,10 +95,10 @@ def run_ratio_benchmark(
     # The batched timing includes the padding step: that is the real cost a
     # caller starting from Instance objects pays.
     batch_seconds = best_of(
-        lambda: wdeq_ratio_batch(PaddedBatch.from_instances(instances)), repeats
+        lambda: wdeq_ratio_batch(InstanceBatch.from_instances(instances)), repeats
     )
     serial_ratios = np.array([wdeq_ratio(inst, exact=False) for inst in instances])
-    batch_ratios = wdeq_ratio_batch(PaddedBatch.from_instances(instances))
+    batch_ratios = wdeq_ratio_batch(InstanceBatch.from_instances(instances))
     tag = f"B{batch_size}_n{task_count}"
     benchmarks = {
         f"wdeq_ratio_serial_{tag}": serial_seconds,

@@ -23,8 +23,7 @@ scale that per-instance Python overhead dominates.  This package provides
   recomputation.
 
 The batch substrate operates on :class:`~repro.core.batch.InstanceBatch`
-(struct-of-arrays, exported here under its historical name ``PaddedBatch``)
-and is selected by the experiments through
+(struct-of-arrays, re-exported here) and is selected by the experiments through
 :class:`repro.exec.ExecutionContext` — ``--batch`` / ``--workers`` on the
 CLI.
 """
@@ -32,7 +31,6 @@ CLI.
 from repro.batch.cache import ResultCache, cache_key
 from repro.batch.kernels import (
     BatchWaterFilling,
-    PaddedBatch,
     combined_lower_bound_batch,
     height_bound_batch,
     smith_rule_batch,
@@ -53,9 +51,10 @@ from repro.batch.sim_kernels import (
     policy_ratios_batch,
     simulate_batch,
 )
+from repro.core.batch import InstanceBatch
 
 __all__ = [
-    "PaddedBatch",
+    "InstanceBatch",
     "BatchWaterFilling",
     "wdeq_batch",
     "water_filling_batch",

@@ -17,7 +17,6 @@ batches including degenerate one-task instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,10 +26,8 @@ from repro.core.exceptions import (
     InvalidInstanceError,
     InvalidScheduleError,
 )
-from repro.core.instance import Instance
 
 __all__ = [
-    "PaddedBatch",
     "BatchWaterFilling",
     "wdeq_batch",
     "wdeq_weighted_completion_batch",
@@ -41,12 +38,6 @@ __all__ = [
     "lower_bound_batch",
     "wdeq_ratio_batch",
 ]
-
-#: Historical name of the struct-of-arrays batch type, which now lives in
-#: :mod:`repro.core.batch` so that core, workloads and the kernels all share
-#: one representation.  Existing callers keep working unchanged.
-PaddedBatch = InstanceBatch
-
 
 # --------------------------------------------------------------------- #
 # WDEQ
@@ -73,7 +64,10 @@ def _wdeq_allocation_batch(
     alloc = np.zeros((B, N))
     act = active.copy()
     rem_P = np.asarray(P, dtype=float).copy()
-    rem_W = np.where(act, weights, 0.0).sum(axis=1)
+    # Weight sums accumulate in float64 even for float32 inputs: subtracting
+    # the capped weights from a float32 total cancels catastrophically and
+    # over-subscribes the platform.
+    rem_W = np.where(act, weights, 0.0).sum(axis=1, dtype=float)
     for _ in range(N + 1):
         live = (rem_W > atol) & (rem_P > atol) & act.any(axis=1)
         if not live.any():
@@ -90,13 +84,13 @@ def _wdeq_allocation_batch(
         if has_capped.any():
             alloc[capped] = deltas[capped]
             rem_P -= np.where(capped, deltas, 0.0).sum(axis=1)
-            rem_W -= np.where(capped, weights, 0.0).sum(axis=1)
+            rem_W -= np.where(capped, weights, 0.0).sum(axis=1, dtype=float)
             act &= ~capped
             np.maximum(rem_P, 0.0, out=rem_P)
     return alloc
 
 
-def wdeq_batch(batch: PaddedBatch, atol: float = 1e-12) -> np.ndarray:
+def wdeq_batch(batch: InstanceBatch, atol: float = 1e-12) -> np.ndarray:
     """Completion times of WDEQ on every instance of the batch.
 
     Vectorized counterpart of :func:`repro.algorithms.wdeq.wdeq_schedule`:
@@ -149,7 +143,7 @@ def wdeq_batch(batch: PaddedBatch, atol: float = 1e-12) -> np.ndarray:
 
 
 def wdeq_weighted_completion_batch(
-    batch: PaddedBatch, completion_times: np.ndarray | None = None, atol: float = 1e-12
+    batch: InstanceBatch, completion_times: np.ndarray | None = None, atol: float = 1e-12
 ) -> np.ndarray:
     """``sum_i w_i C_i`` of the WDEQ schedule for every row, shape ``(B,)``."""
     if completion_times is None:
@@ -189,7 +183,7 @@ class BatchWaterFilling:
 
 
 def water_filling_batch(
-    batch: PaddedBatch,
+    batch: InstanceBatch,
     completion_times: np.ndarray,
     atol: float = 1e-9,
 ) -> BatchWaterFilling:
@@ -334,14 +328,14 @@ def smith_rule_batch(
     return (w_sorted * completion).sum(axis=1)
 
 
-def height_bound_batch(batch: PaddedBatch, volumes: np.ndarray | None = None) -> np.ndarray:
+def height_bound_batch(batch: InstanceBatch, volumes: np.ndarray | None = None) -> np.ndarray:
     """Vectorized height bound ``H(I) = sum_i w_i V_i / delta_i`` (Definition 6)."""
     v = batch.volumes if volumes is None else volumes
     heights = np.where(batch.mask, v / batch.deltas, 0.0)
     return (np.where(batch.mask, batch.weights, 0.0) * heights).sum(axis=1)
 
 
-def combined_lower_bound_batch(batch: PaddedBatch, num_fractions: int = 5) -> np.ndarray:
+def combined_lower_bound_batch(batch: InstanceBatch, num_fractions: int = 5) -> np.ndarray:
     """Vectorized :func:`repro.core.bounds.combined_lower_bound`, shape ``(B,)``.
 
     Evaluates the squashed-area bound ``A(I)``, the height bound ``H(I)`` and
@@ -362,63 +356,21 @@ def combined_lower_bound_batch(batch: PaddedBatch, num_fractions: int = 5) -> np
     return np.max(np.stack(candidates, axis=0), axis=0)
 
 
-def lower_bound_batch(
-    batch: PaddedBatch,
-    method: str = "combined",
-    num_fractions: int = 5,
-    backend: str = "batch",
-    ctx: "object | None" = None,
-    max_exact_tasks: "int | None" = None,
-    exact_method: str = "branch-and-bound",
-) -> np.ndarray:
+def lower_bound_batch(batch: InstanceBatch, num_fractions: int = 5) -> np.ndarray:
     """Per-row lower bounds on the optimal weighted completion time, shape ``(B,)``.
 
-    Two methods are available:
-
-    ``"combined"``
-        The closed-form Lemma 1 bound of
-        :func:`combined_lower_bound_batch` — cheap, valid at any size, and
-        what the empirical-ratio experiments use as the denominator.
-    ``"exact"`` (deprecated alias)
-        The exact optimum ``OPT(I)`` per row.  This spelling is deprecated:
-        exact optima now have one entry point, :func:`repro.lp.optimal`,
-        with ``method="branch-and-bound"`` / ``"enumerate"`` as the
-        vocabulary — call ``repro.lp.optimal(batch, ...).objectives``
-        instead.  The alias forwards there (``exact_method`` maps to
-        ``method``, ``max_exact_tasks`` to ``max_tasks``) and will be
-        removed after one release.
-
-    The exact optimum dominates the combined bound, so
-    ``repro.lp.optimal(batch).objectives >= lower_bound_batch(batch)`` up
-    to tolerance — asserted by the differential tests.
+    The closed-form Lemma 1 bound of :func:`combined_lower_bound_batch` —
+    cheap, valid at any size, and what the empirical-ratio experiments use
+    as the denominator.  Exact optima have their own entry point,
+    :func:`repro.lp.optimal`, which dominates this bound:
+    ``repro.lp.optimal(batch).objectives >= lower_bound_batch(batch)`` up to
+    tolerance (asserted by the differential tests).
     """
-    if method == "combined":
-        return combined_lower_bound_batch(batch, num_fractions=num_fractions)
-    if method == "exact":
-        import warnings
-
-        from repro.lp.batch import optimal
-
-        warnings.warn(
-            "lower_bound_batch(method='exact') is deprecated: call "
-            "repro.lp.optimal(batch, method=...).objectives instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return optimal(
-            batch,
-            method=exact_method,
-            backend=backend,  # type: ignore[arg-type]
-            ctx=ctx,  # type: ignore[arg-type]
-            max_tasks=max_exact_tasks,
-        ).objectives
-    raise InvalidInstanceError(
-        f"unknown lower-bound method {method!r}; expected 'combined' or 'exact'"
-    )
+    return combined_lower_bound_batch(batch, num_fractions=num_fractions)
 
 
 def wdeq_ratio_batch(
-    batch: PaddedBatch,
+    batch: InstanceBatch,
     completion_times: np.ndarray | None = None,
     num_fractions: int = 5,
     atol: float = 1e-12,
@@ -435,10 +387,3 @@ def wdeq_ratio_batch(
     reference = combined_lower_bound_batch(batch, num_fractions=num_fractions)
     return np.where(reference > 0, value / np.where(reference > 0, reference, 1.0), 1.0)
 
-
-def pad_instances(instances: Sequence[Instance]) -> PaddedBatch:
-    """Convenience alias for :meth:`PaddedBatch.from_instances`."""
-    return PaddedBatch.from_instances(instances)
-
-
-__all__.append("pad_instances")

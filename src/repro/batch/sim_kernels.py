@@ -46,9 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batch.compiled import DEFAULT_ATOLS, PRECISIONS, resolve_kernel
 from repro.batch.kernels import _wdeq_allocation_batch, combined_lower_bound_batch
-from repro.core.batch import InstanceBatch
+from repro.core.batch import PRECISIONS, InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, SimulationError
 from repro.simulation.events import (
     CompletionEvent,
@@ -71,6 +70,12 @@ __all__ = [
     "default_batch_policies",
     "policy_ratios_batch",
 ]
+
+
+#: Default completion-detection tolerance per precision mode.  float32
+#: resolves ~7 significant digits, so the float64 default of ``1e-10`` would
+#: be pure noise there.
+DEFAULT_ATOLS = {"float64": 1e-10, "float32": 1e-5}
 
 
 # --------------------------------------------------------------------- #
@@ -331,6 +336,12 @@ def init_simulation_state(
         releases = np.where(mask, releases, 0.0)
 
     released = ~mask | (releases <= atol)
+    # A task completes once ``remaining <= atol * max(floor, volume)``.
+    # float64 keeps the scalar engine's floor of 1 (an absolute atol below
+    # unit volume); float32 rounding error is relative to the volume, so its
+    # test is purely relative: an absolute 1e-5 would finish every smaller
+    # task at the first event.
+    floor = 0.0 if volumes.dtype == np.float32 else 1.0
     traces: list[SimulationTrace] | None = None
     if record_trace:
         traces = [SimulationTrace() for _ in range(B)]
@@ -347,7 +358,7 @@ def init_simulation_state(
         released=released,
         completion_times=np.zeros((B, N), dtype=volumes.dtype),
         num_events=np.zeros(B, dtype=int),
-        finish_tol=atol * np.maximum(1.0, volumes),
+        finish_tol=atol * np.maximum(floor, volumes),
         traces=traces,
     )
 
@@ -357,7 +368,6 @@ def advance_simulation_state(
     policy: BatchPolicy,
     until: "np.ndarray | float | None" = None,
     max_events: int | None = None,
-    kernel: str = "numpy",
 ) -> BatchSimulationState:
     """Advance every live row of ``state`` under ``policy``, in place.
 
@@ -378,15 +388,6 @@ def advance_simulation_state(
         Safety bound on the number of lockstep iterations *of this call*
         (each iteration is one event of every live row); default
         ``8 n_max + 16``, the scalar per-instance bound.
-    kernel:
-        Which tier runs the event loop, one of
-        :data:`repro.batch.compiled.KERNELS`.  ``compiled`` (or an ``auto``
-        that resolves to it) dispatches to the numba core of
-        :mod:`repro.batch.compiled.sim_loop` when the call is eligible —
-        no trace recording and one of the four built-in policies; anything
-        else silently uses the NumPy loop, which stays the reference
-        implementation.  The trajectories are identical either way (the
-        differential tests run both).
 
     Raises
     ------
@@ -415,14 +416,6 @@ def advance_simulation_state(
         horizon = np.full(B, np.inf)
     else:
         horizon = np.broadcast_to(np.asarray(until, dtype=float), (B,))
-
-    if resolve_kernel(kernel) == "compiled":
-        from repro.batch.compiled.sim_loop import advance_state_compiled
-
-        if advance_state_compiled(
-            state, policy, np.ascontiguousarray(horizon, dtype=float), max_events
-        ):
-            return state
 
     iterations = 0
     while True:
@@ -538,7 +531,6 @@ def simulate_batch(
     atol: float | None = None,
     max_events: int | None = None,
     record_trace: bool = False,
-    kernel: str = "numpy",
     precision: str = "float64",
 ) -> BatchSimulationResult:
     """Run an online policy on every instance of the batch in lockstep.
@@ -559,7 +551,7 @@ def simulate_batch(
     atol:
         Numerical tolerance for completion detection.  ``None`` (the
         default) resolves per precision mode through
-        :data:`repro.batch.compiled.DEFAULT_ATOLS` — ``1e-10`` at float64,
+        :data:`DEFAULT_ATOLS` — ``1e-10`` at float64,
         matching the scalar engine's default.
     max_events:
         Safety bound on the number of lockstep iterations (each iteration is
@@ -570,9 +562,6 @@ def simulate_batch(
         :class:`~repro.simulation.events.SimulationTrace` identical to the
         scalar engine's (used by the equivalence tests; costs a Python loop
         over rows per iteration, so leave it off in benchmarks).
-    kernel:
-        The event-loop tier, forwarded to :func:`advance_simulation_state`
-        (``numpy``, ``compiled``, or ``auto``).
     precision:
         ``float64`` (conformance mode, the default) or ``float32``: the
         throughput mode casts the batch's task arrays — and therefore the
@@ -596,7 +585,7 @@ def simulate_batch(
     state = init_simulation_state(
         batch, release_times=release_times, atol=atol, record_trace=record_trace
     )
-    advance_simulation_state(state, policy, until=None, max_events=max_events, kernel=kernel)
+    advance_simulation_state(state, policy, until=None, max_events=max_events)
     return state.result(policy.name)
 
 

@@ -40,7 +40,12 @@ import numpy as np
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import Instance, Task
 
-__all__ = ["InstanceBatch"]
+__all__ = ["PRECISIONS", "InstanceBatch"]
+
+#: The precision modes of the batched simulation and LP kernels.
+#: ``float64`` is the conformance mode; ``float32`` casts the batch at its
+#: boundary (:meth:`InstanceBatch.astype`) and runs at widened tolerances.
+PRECISIONS = ("float64", "float32")
 
 
 @dataclass(frozen=True)

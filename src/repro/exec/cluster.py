@@ -700,15 +700,9 @@ class WorkerNode:
         )
 
     def _run_cell(self, message: RunCell) -> CellDone:
-        from repro.batch.compiled import resolve_kernel
         from repro.scenarios.runner import run_cell
 
-        payload = dict(message.payload)
-        # Nodes resolve the kernel tier against their *own* environment: a
-        # coordinator with numba must not make a numba-free node crash (the
-        # tiers are differentially identical at float64).
-        payload["kernel"] = resolve_kernel(str(payload.get("kernel", "auto")))
-        records = run_cell(payload)
+        records = run_cell(dict(message.payload))
         return CellDone(job_id=message.job_id, records=tuple(records))
 
     def _run_task(self, message: RunTask) -> TaskDone:

@@ -50,10 +50,10 @@ from typing import Any, Callable, Iterable, Mapping
 import numpy as np
 
 from repro.batch.cache import ResultCache, cache_key
-from repro.batch.compiled import KERNELS, PRECISIONS, resolve_kernel
 from repro.batch.runner import BatchRunner
+from repro.core.batch import PRECISIONS
 
-__all__ = ["BACKENDS", "LP_BACKENDS", "KERNELS", "PRECISIONS", "ExecutionContext"]
+__all__ = ["BACKENDS", "LP_BACKENDS", "PRECISIONS", "ExecutionContext"]
 
 #: The recognised execution backends.
 BACKENDS = ("serial", "vectorized", "process-pool", "cluster")
@@ -119,15 +119,6 @@ class ExecutionContext:
         neither switching ``--lp-backend`` nor an ``auto`` that resolves
         differently across backends can return results computed by another
         solver.
-    kernel:
-        Which tier runs the hot numeric loops, one of
-        :data:`repro.batch.compiled.KERNELS`.  The default ``"auto"``
-        resolves to the numba-compiled kernels of
-        :mod:`repro.batch.compiled` when numba is importable and to the
-        NumPy kernels otherwise; ``"compiled"`` pins the compiled tier
-        (falling back to NumPy with a one-time warning when numba is
-        missing).  Like the LP backend, the *resolved* kernel is part of
-        every :meth:`cached` key.
     precision:
         ``"float64"`` (default) or ``"float32"`` — the float32 throughput
         mode of the batched simulation and LP kernels, with widened
@@ -166,7 +157,6 @@ class ExecutionContext:
     cache: ResultCache | None = None
     lp_backend: str = "auto"
     shm: bool = False
-    kernel: str = "auto"
     precision: str = "float64"
     hosts: Any = ()
     cell_timeout: float = 120.0
@@ -183,10 +173,6 @@ class ExecutionContext:
         if self.lp_backend not in LP_BACKENDS:
             raise ValueError(
                 f"unknown LP backend {self.lp_backend!r}; expected one of {LP_BACKENDS}"
-            )
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
             )
         if self.precision not in PRECISIONS:
             raise ValueError(
@@ -225,7 +211,6 @@ class ExecutionContext:
         cache_dir: str | os.PathLike | None = None,
         lp_backend: str = "auto",
         shm: bool = False,
-        kernel: str = "auto",
         precision: str = "float64",
         backend: str = "auto",
         hosts: "str | Iterable[str] | None" = None,
@@ -246,8 +231,8 @@ class ExecutionContext:
         the next invocation, saved by :meth:`close`); ``--lp-backend``
         selects the LP solver (see :data:`LP_BACKENDS`); ``--shm`` switches
         the pool's batch maps onto the shared-memory transport;
-        ``--kernel`` / ``--precision`` select the numeric tier of the hot
-        loops (see :data:`KERNELS` and :data:`PRECISIONS`).
+        ``--precision`` selects the float32 throughput mode of the batched
+        kernels (see :data:`PRECISIONS`).
         """
         if backend and backend != "auto":
             if backend not in BACKENDS:
@@ -275,7 +260,6 @@ class ExecutionContext:
             cache=cache,
             lp_backend=lp_backend,
             shm=shm,
-            kernel=kernel,
             precision=precision,
             hosts=hosts or (),
             cell_timeout=cell_timeout,
@@ -319,16 +303,6 @@ class ExecutionContext:
             return "batch" if self.vectorized else "scipy"
         return self.lp_backend
 
-    def resolved_kernel(self) -> str:
-        """The concrete kernel tier this context selects.
-
-        ``"compiled"`` when the selection is ``"compiled"`` or an ``"auto"``
-        with numba importable, else ``"numpy"`` (an unavailable explicit
-        ``"compiled"`` degrades with a one-time warning — see
-        :func:`repro.batch.compiled.resolve_kernel`).
-        """
-        return resolve_kernel(self.kernel)
-
     def ordered_relaxation(
         self,
         batch,
@@ -353,7 +327,6 @@ class ExecutionContext:
             backend=self.resolved_lp_backend(),  # type: ignore[arg-type]
             ctx=self,
             build_schedules=build_schedules,
-            kernel=self.resolved_kernel(),
             precision=self.precision,
         )
 
@@ -535,26 +508,24 @@ class ExecutionContext:
     def cached(
         self, name: str, params: Mapping[str, Any], compute: Callable[[], Any]
     ) -> Any:
-        """Memoize ``compute()`` under ``(name, seed, solver/kernel tier, params)``.
+        """Memoize ``compute()`` under ``(name, seed, solver, precision, params)``.
 
         Without a cache this simply calls ``compute()``.  ``params`` must be
         JSON-canonicalisable (see :func:`repro.batch.cache.cache_key`); the
-        context adds its own seed, *resolved* LP solver, *resolved* kernel
-        tier and precision to the key — results computed by one numeric
-        tier must never be served to a run using another from a shared
-        ``--cache-dir``.  Keying on the resolved values (not the raw
-        selections) also separates ``auto`` contexts that resolve
-        differently (a vectorized ``auto`` uses the lockstep LP kernel, an
-        ``auto`` kernel resolves per numba availability); the context's
-        values are merged last so caller-supplied ``params`` entries cannot
-        shadow them (regression-tested in ``tests/test_exec.py``).
+        context adds its own seed, *resolved* LP solver and precision to the
+        key — results computed by one solver or precision must never be
+        served to a run using another from a shared ``--cache-dir``.  Keying
+        on the resolved solver (not the raw selection) also separates
+        ``auto`` contexts that resolve differently (a vectorized ``auto``
+        uses the lockstep LP kernel); the context's values are merged last
+        so caller-supplied ``params`` entries cannot shadow them
+        (regression-tested in ``tests/test_exec.py``).
         """
         if self.cache is None:
             return compute()
         key_params = {
             **dict(params),
             "lp_backend": self.resolved_lp_backend(),
-            "kernel": self.resolved_kernel(),
             "precision": self.precision,
         }
         return self.cache.get_or_compute(cache_key(name, self.seed, key_params), compute)

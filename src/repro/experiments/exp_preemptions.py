@@ -54,9 +54,10 @@ def run(
     for n in sizes:
         instances = list(cluster_instances(n, count, rng=ctx.rng()))
         if ctx.vectorized:
-            from repro.batch.kernels import PaddedBatch, wdeq_batch
+            from repro.batch.kernels import wdeq_batch
+            from repro.core.batch import InstanceBatch
 
-            completions = wdeq_batch(PaddedBatch.from_instances(instances))
+            completions = wdeq_batch(InstanceBatch.from_instances(instances))
             reports = ctx.map(
                 _report_from_times,
                 [(inst, completions[b, : inst.n]) for b, inst in enumerate(instances)],

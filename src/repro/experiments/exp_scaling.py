@@ -160,8 +160,9 @@ def run(
             "the scenario opts in via params.exact_max_n."
         )
     for B in batch_sizes:
-        from repro.batch.kernels import PaddedBatch, wdeq_batch
+        from repro.batch.kernels import wdeq_batch
         from repro.batch.sim_kernels import WdeqBatchPolicy, simulate_batch
+        from repro.core.batch import InstanceBatch
         from repro.simulation.engine import simulate
         from repro.simulation.policies import WdeqPolicy
 
@@ -170,7 +171,7 @@ def run(
         serial_time = _time_call(
             lambda: [wdeq_schedule(inst) for inst in batch_instances]
         )
-        padded = PaddedBatch.from_instances(batch_instances)
+        padded = InstanceBatch.from_instances(batch_instances)
         batch_time = _time_call(lambda: wdeq_batch(padded))
         speedup = serial_time / batch_time if batch_time > 0 else float("inf")
         rows.append(
@@ -221,7 +222,7 @@ def run(
             ],
             repeats=1,
         )
-        lp_padded = PaddedBatch.from_instances(lp_instances)
+        lp_padded = InstanceBatch.from_instances(lp_instances)
         lp_batch_time = _time_call(
             lambda: solve_ordered_relaxation_batch(
                 lp_padded, smith_orders_batch(lp_padded), backend="batch"

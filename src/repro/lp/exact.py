@@ -132,13 +132,12 @@ def _cached_permutation_table(n: int) -> np.ndarray:
 def permutation_table(n: int) -> np.ndarray:
     """All permutations of ``0 .. n-1`` as a read-only ``(n!, n)`` array.
 
-    Shared by the enumeration fallback of
-    :func:`repro.lp.batch.optimal_values_batch` and the vectorized ordering
-    analysis of :mod:`repro.analysis.orderings`.  Small tables
-    (``n <= 8``) are cached because the experiments re-enumerate the same
-    sizes thousands of times; larger ones are built fresh per call so a
-    single deliberate ``n = 10`` enumeration does not pin hundreds of MB
-    for the process lifetime.
+    Shared by the enumeration method of :func:`repro.lp.batch.optimal` and
+    the vectorized ordering analysis of :mod:`repro.analysis.orderings`.
+    Small tables (``n <= 8``) are cached because the experiments
+    re-enumerate the same sizes thousands of times; larger ones are built
+    fresh per call so a single deliberate ``n = 10`` enumeration does not
+    pin hundreds of MB for the process lifetime.
     """
     if n < 0:
         raise InvalidInstanceError(f"cannot enumerate permutations of {n} items")
@@ -753,9 +752,9 @@ def branch_and_bound_optimal_batch(
     """Exact ``OPT(I)`` for every row of ``batch`` by branch-and-bound.
 
     The drop-in replacement for the ``n!`` enumeration of
-    :func:`repro.lp.batch.optimal_values_batch` (which now dispatches here
-    by default): identical objectives — property-tested for every ``n <= 7``
-    batch Hypothesis finds — at a small fraction of the LP count, raising
+    :func:`repro.lp.batch.optimal` (which dispatches here by default):
+    identical objectives — property-tested for every ``n <= 7`` batch
+    Hypothesis finds — at a small fraction of the LP count, raising
     the practical exact ceiling from ``n = 7`` to ``n ~ 14``.
 
     Parameters

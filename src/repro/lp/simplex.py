@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.batch import PRECISIONS
 from repro.core.exceptions import SolverError
 
 __all__ = [
@@ -268,7 +269,6 @@ def _simplex_core_batch(
     statuses: np.ndarray,
     iterations: np.ndarray,
     max_iterations: int,
-    kernel: str = "numpy",
     eps: float = _EPS,
     tie_tol: float = _TIE_TOL,
 ) -> None:
@@ -285,36 +285,9 @@ def _simplex_core_batch(
     values.  Entering/leaving selection is Bland's rule, identical to the
     scalar :func:`_simplex_core`.
 
-    ``kernel='compiled'`` hands the whole drive-to-termination to the numba
-    core of :mod:`repro.batch.compiled.lp_pivot` instead (exact reduced
-    costs every pivot, problems driven independently — same rule, same
-    tolerances, no per-iteration Python); ``eps``/``tie_tol`` widen the
-    pivot and ratio-tie thresholds in the ``float32`` mode.
+    ``eps``/``tie_tol`` widen the pivot and ratio-tie thresholds in the
+    ``float32`` mode.
     """
-    if kernel == "compiled" and T.shape[0]:
-        from repro.batch.compiled import lp_pivot
-
-        status_codes = np.zeros(T.shape[0], dtype=np.int64)
-        pivot_counts = np.zeros(T.shape[0], dtype=np.int64)
-        blocked_arr = (
-            np.zeros(T.shape[2], dtype=bool) if blocked is None else np.ascontiguousarray(blocked)
-        )
-        bad = lp_pivot.pivot_all(
-            T, b, basis, cost, blocked_arr, status_codes, pivot_counts,
-            max_iterations, eps, tie_tol,
-        )
-        if bad >= 0:
-            raise SolverError(f"batched simplex exceeded {max_iterations} pivots")
-        labels = np.empty(status_codes.size, dtype=object)
-        labels[:] = "optimal"
-        labels[status_codes == lp_pivot.STATUS_UNBOUNDED] = "unbounded"
-        statuses[orig] = labels
-        out_T[orig] = T
-        out_b[orig] = b
-        out_basis[orig] = basis
-        iterations[orig] += pivot_counts
-        return
-
     m = T.shape[1]
     lockstep = 0
     reduced = _exact_reduced_costs(cost, T, basis)
@@ -398,7 +371,6 @@ def solve_linear_program_batch(
     A_eq: np.ndarray | None = None,
     b_eq: np.ndarray | None = None,
     max_iterations: int = 50_000,
-    kernel: str = "numpy",
     precision: str = "float64",
 ) -> BatchLinearProgramResult:
     """Solve ``B`` independent LPs ``min c x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0`` in lockstep.
@@ -413,21 +385,14 @@ def solve_linear_program_batch(
     the per-problem results match ``solve_linear_program`` up to floating-
     point noise (property-tested in ``tests/test_lp_batch.py``).
 
-    ``kernel`` selects the pivot tier (one of
-    :data:`repro.batch.compiled.KERNELS`): ``compiled`` — or an ``auto``
-    resolving to it — drives the pivots through the numba core of
-    :mod:`repro.batch.compiled.lp_pivot` with identical selection rules and
-    tolerances; ``precision='float32'`` builds the tableaux in float32 and
-    widens the pivot/tie/infeasibility tolerances (the throughput mode —
-    results then match the float64 solve only to ~1e-3 relative).
+    ``precision='float32'`` builds the tableaux in float32 and widens the
+    pivot/tie/infeasibility tolerances (the throughput mode — results then
+    match the float64 solve only to ~1e-3 relative).
 
     Infeasible and unbounded problems are reported per problem through
     :attr:`BatchLinearProgramResult.statuses`; like the scalar solver, only
     hitting the pivot limit raises :class:`~repro.core.exceptions.SolverError`.
     """
-    from repro.batch.compiled import PRECISIONS, resolve_kernel
-
-    kernel = resolve_kernel(kernel)
     if precision not in PRECISIONS:
         raise SolverError(f"unknown precision {precision!r}; expected one of {PRECISIONS}")
     dtype = np.float32 if precision == "float32" else np.float64
@@ -505,7 +470,7 @@ def solve_linear_program_batch(
         work = (T.copy(), bvec.copy(), basis.copy())
         _simplex_core_batch(
             *work, phase1_c, None, orig, T, bvec, basis, statuses, iterations, max_iterations,
-            kernel=kernel, eps=eps, tie_tol=tie_tol,
+            eps=eps, tie_tol=tie_tol,
         )
         if not np.all(statuses == "optimal"):  # pragma: no cover - phase 1 is always bounded
             raise SolverError("phase-1 batched simplex failed")
@@ -553,7 +518,6 @@ def solve_linear_program_batch(
             statuses,
             iterations,
             max_iterations,
-            kernel=kernel,
             eps=eps,
             tie_tol=tie_tol,
         )

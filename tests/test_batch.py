@@ -16,8 +16,8 @@ from repro.algorithms.water_filling import water_filling_levels
 from repro.algorithms.wdeq import wdeq_schedule
 from repro.analysis.ratios import wdeq_ratio
 from repro.batch.cache import ResultCache, cache_key
+from repro.batch.compiled import resolve_kernel
 from repro.batch.kernels import (
-    PaddedBatch,
     combined_lower_bound_batch,
     water_filling_batch,
     wdeq_batch,
@@ -25,6 +25,7 @@ from repro.batch.kernels import (
     wdeq_weighted_completion_batch,
 )
 from repro.batch.runner import BatchRunner
+from repro.core.batch import InstanceBatch
 from repro.core.bounds import combined_lower_bound, time_leq, times_close
 from repro.core.exceptions import InfeasibleScheduleError, InvalidInstanceError
 from repro.core.instance import Instance, Task
@@ -59,17 +60,17 @@ def instance_batches(draw, max_batch: int = 6):
 
 
 # --------------------------------------------------------------------- #
-# PaddedBatch
+# InstanceBatch
 # --------------------------------------------------------------------- #
 
 
-class TestPaddedBatch:
+class TestInstanceBatch:
     def test_shapes_and_mask(self):
         insts = [
             Instance.from_arrays(P=2.0, volumes=[1.0, 2.0, 3.0]),
             Instance.from_arrays(P=1.0, volumes=[1.0]),
         ]
-        batch = PaddedBatch.from_instances(insts)
+        batch = InstanceBatch.from_instances(insts)
         assert batch.batch_size == 2
         assert batch.n_max == 3
         assert list(batch.counts) == [3, 1]
@@ -81,7 +82,7 @@ class TestPaddedBatch:
 
     def test_roundtrip_instance(self):
         inst = next(uniform_instances(4, 1, rng=0))
-        batch = PaddedBatch.from_instances([inst, next(uniform_instances(2, 1, rng=1))])
+        batch = InstanceBatch.from_instances([inst, next(uniform_instances(2, 1, rng=1))])
         back = batch.instance(0)
         np.testing.assert_allclose(back.volumes, inst.volumes)
         np.testing.assert_allclose(back.deltas, inst.deltas)
@@ -89,7 +90,20 @@ class TestPaddedBatch:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            PaddedBatch.from_instances([])
+            InstanceBatch.from_instances([])
+
+
+class TestKernelLabel:
+    # repro.batch.compiled survives only as the benchmark ledger's
+    # ``kernel`` label: NumPy is the one tier.
+    def test_auto_and_numpy_resolve_to_numpy(self):
+        assert resolve_kernel("auto") == "numpy"
+        assert resolve_kernel("numpy") == "numpy"
+
+    @pytest.mark.parametrize("selection", ["compiled", "fortran"])
+    def test_other_selections_rejected(self, selection):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            resolve_kernel(selection)
 
 
 # --------------------------------------------------------------------- #
@@ -101,7 +115,7 @@ class TestWdeqBatch:
     @settings(max_examples=30, deadline=None)
     @given(instance_batches())
     def test_agrees_with_scalar(self, insts):
-        batch = PaddedBatch.from_instances(insts)
+        batch = InstanceBatch.from_instances(insts)
         completions = wdeq_batch(batch)
         assert completions.shape == (batch.batch_size, batch.n_max)
         for b, inst in enumerate(insts):
@@ -114,14 +128,14 @@ class TestWdeqBatch:
 
     def test_single_task_instance(self):
         inst = Instance(P=2.0, tasks=[Task(volume=3.0, weight=1.0, delta=0.5)])
-        batch = PaddedBatch.from_instances([inst])
+        batch = InstanceBatch.from_instances([inst])
         completions = wdeq_batch(batch)
         # One task capped at delta=0.5: completes at V / delta = 6.
         np.testing.assert_allclose(completions[0, 0], 6.0)
 
     def test_weighted_objective_matches(self):
         insts = list(cluster_instances(12, 5, rng=np.random.default_rng(2)))
-        batch = PaddedBatch.from_instances(insts)
+        batch = InstanceBatch.from_instances(insts)
         values = wdeq_weighted_completion_batch(batch)
         expected = [wdeq_schedule(inst).weighted_completion_time() for inst in insts]
         np.testing.assert_allclose(values, expected, rtol=1e-7)
@@ -129,7 +143,7 @@ class TestWdeqBatch:
     def test_nonpositive_weights_rejected(self):
         inst = Instance(P=1.0, tasks=[Task(volume=1.0, weight=0.0, delta=0.5)])
         with pytest.raises(InvalidInstanceError):
-            wdeq_batch(PaddedBatch.from_instances([inst]))
+            wdeq_batch(InstanceBatch.from_instances([inst]))
 
 
 # --------------------------------------------------------------------- #
@@ -141,7 +155,7 @@ class TestWaterFillingBatch:
     @settings(max_examples=20, deadline=None)
     @given(instance_batches(max_batch=4))
     def test_agrees_with_scalar_on_wdeq_targets(self, insts):
-        batch = PaddedBatch.from_instances(insts)
+        batch = InstanceBatch.from_instances(insts)
         completions = wdeq_batch(batch)
         result = water_filling_batch(batch, completions)
         for b, inst in enumerate(insts):
@@ -157,7 +171,7 @@ class TestWaterFillingBatch:
     @settings(max_examples=20, deadline=None)
     @given(instance_batches(max_batch=4))
     def test_volume_conservation_and_caps(self, insts):
-        batch = PaddedBatch.from_instances(insts)
+        batch = InstanceBatch.from_instances(insts)
         completions = wdeq_batch(batch)
         result = water_filling_batch(batch, completions)
         lengths = np.diff(result.sorted_completion_times, axis=1, prepend=0.0)
@@ -171,7 +185,7 @@ class TestWaterFillingBatch:
 
     def test_infeasible_targets_raise(self):
         inst = Instance(P=1.0, tasks=[Task(volume=5.0, weight=1.0, delta=1.0)])
-        batch = PaddedBatch.from_instances([inst])
+        batch = InstanceBatch.from_instances([inst])
         with pytest.raises(InfeasibleScheduleError):
             water_filling_batch(batch, np.array([[1.0]]))
 
@@ -185,7 +199,7 @@ class TestBatchBounds:
     @settings(max_examples=30, deadline=None)
     @given(instance_batches())
     def test_combined_lower_bound_agrees(self, insts):
-        batch = PaddedBatch.from_instances(insts)
+        batch = InstanceBatch.from_instances(insts)
         bounds = combined_lower_bound_batch(batch)
         expected = [combined_lower_bound(inst) for inst in insts]
         np.testing.assert_allclose(bounds, expected, rtol=1e-9)
@@ -193,7 +207,7 @@ class TestBatchBounds:
     @settings(max_examples=15, deadline=None)
     @given(instance_batches(max_batch=4))
     def test_wdeq_ratio_agrees_and_below_two(self, insts):
-        batch = PaddedBatch.from_instances(insts)
+        batch = InstanceBatch.from_instances(insts)
         ratios = wdeq_ratio_batch(batch)
         expected = [wdeq_ratio(inst, exact=False) for inst in insts]
         np.testing.assert_allclose(ratios, expected, rtol=1e-7)

@@ -542,7 +542,9 @@ class TestChaos:
         must finish, match serial, and record every cell exactly once."""
         spec = tiny_spec("chaos-kill", cells=6)
         serial = run_serial(spec)
-        with WorkerFleet(count=3, die_after={0: 1}) as fleet:
+        # The siblings straggle so node 0 is the first free node after its
+        # first cell and is sure to receive the job it dies on.
+        with WorkerFleet(count=3, delays={1: 0.5, 2: 0.5}, die_after={0: 1}) as fleet:
             coordinator = ClusterCoordinator(
                 fleet.hosts, cell_timeout=120.0, max_retries=2
             )

@@ -196,6 +196,42 @@ class TestExecutionContext:
         assert ctx.lp_backend == "simplex"
         assert ctx.resolved_lp_backend() == "simplex"
 
+    def test_default_precision(self):
+        assert ExecutionContext().precision == "float64"
+
+    def test_unknown_precision_rejected(self):
+        with pytest.raises(ValueError, match="unknown precision"):
+            ExecutionContext(precision="float16")
+
+    def test_precision_from_options_passes_through(self):
+        assert ExecutionContext.from_options(precision="float32").precision == "float32"
+
+    def test_cached_keys_include_precision(self):
+        # Results computed at one precision must never be served to a run
+        # at the other from a shared cache.
+        cache = ResultCache()
+        values = iter(["f64-result", "f32-result", "unused"])
+
+        def compute():
+            return next(values)
+
+        f64_ctx = ExecutionContext(cache=cache)
+        f32_ctx = ExecutionContext(cache=cache, precision="float32")
+        assert f64_ctx.cached("sweep", {"n": 1}, compute) == "f64-result"
+        assert f32_ctx.cached("sweep", {"n": 1}, compute) == "f32-result"
+        assert f64_ctx.cached("sweep", {"n": 1}, compute) == "f64-result"
+        assert f32_ctx.cached("sweep", {"n": 1}, compute) == "f32-result"
+        # A caller-supplied params entry cannot shadow the context's precision.
+        assert (
+            f64_ctx.cached("sweep", {"n": 1, "precision": "float32"}, compute) == "f64-result"
+        )
+
+    def test_kernel_knob_is_gone(self):
+        # The NumPy kernels are the only tier; there is no selection to make.
+        with pytest.raises(TypeError):
+            ExecutionContext(kernel="numpy")  # type: ignore[call-arg]
+        assert not hasattr(ExecutionContext(), "resolved_kernel")
+
     def test_close_saves_backed_cache(self, tmp_path):
         path = tmp_path / "cache.json"
         ctx = ExecutionContext(cache=ResultCache(path=path))

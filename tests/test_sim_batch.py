@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ratios import policy_ratios
-from repro.batch.compiled import numba_available
 from repro.batch.sim_kernels import (
     BatchPolicy,
     DeqBatchPolicy,
@@ -32,19 +31,13 @@ from repro.core.exceptions import InvalidInstanceError, SimulationError
 from repro.core.instance import Instance, Task
 from repro.simulation.engine import simulate
 from repro.simulation.nonclairvoyant import default_policies
-from repro.workloads.generators import cluster_instances
+from repro.workloads.generators import cluster_instances, uniform_instances
 
 # --------------------------------------------------------------------- #
 # Strategies
 # --------------------------------------------------------------------- #
 
 finite = dict(allow_nan=False, allow_infinity=False)
-
-#: The differential suites run under every kernel tier available on this
-#: machine; the compiled tier must be byte-identical at float64 wherever it
-#: engages (completions-only runs) and falls back to the same NumPy code
-#: everywhere else, so the assertions do not change per kernel.
-KERNELS = ["numpy"] + (["compiled"] if numba_available() else [])
 
 
 @st.composite
@@ -116,13 +109,12 @@ def _assert_traces_match(batch_trace, scalar_trace) -> None:
 
 
 class TestSimulateBatchEquivalence:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=25, deadline=None)
     @given(instance_batches())
-    def test_all_policies_match_scalar_completions_and_traces(self, kernel, insts):
+    def test_all_policies_match_scalar_completions_and_traces(self, insts):
         batch = InstanceBatch.from_instances(insts)
         for batch_policy in default_batch_policies(batch):
-            result = simulate_batch(batch, batch_policy, record_trace=True, kernel=kernel)
+            result = simulate_batch(batch, batch_policy, record_trace=True)
             assert result.completion_times.shape == (batch.batch_size, batch.n_max)
             for b, inst in enumerate(insts):
                 scalar = simulate(inst, _scalar_policy(inst, batch_policy.name))
@@ -135,16 +127,15 @@ class TestSimulateBatchEquivalence:
                 assert np.all(result.completion_times[b, inst.n :] == 0.0)
                 _assert_traces_match(result.traces[b], scalar.trace)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=20, deadline=None)
     @given(batches_with_releases())
-    def test_release_patterns_match_scalar(self, kernel, insts_and_releases):
+    def test_release_patterns_match_scalar(self, insts_and_releases):
         insts, releases = insts_and_releases
         batch = InstanceBatch.from_instances(insts)
         padded = _padded_releases(batch, releases)
         for batch_policy in default_batch_policies(batch):
             result = simulate_batch(
-                batch, batch_policy, release_times=padded, record_trace=True, kernel=kernel
+                batch, batch_policy, release_times=padded, record_trace=True
             )
             for b, inst in enumerate(insts):
                 scalar = simulate(
@@ -158,12 +149,11 @@ class TestSimulateBatchEquivalence:
                 )
                 _assert_traces_match(result.traces[b], scalar.trace)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=15, deadline=None)
     @given(instance_batches(max_batch=4))
-    def test_objective_helpers_match_scalar(self, kernel, insts):
+    def test_objective_helpers_match_scalar(self, insts):
         batch = InstanceBatch.from_instances(insts)
-        result = simulate_batch(batch, WdeqBatchPolicy(), kernel=kernel)
+        result = simulate_batch(batch, WdeqBatchPolicy())
         values = result.weighted_completion_times()
         spans = result.makespans()
         for b, inst in enumerate(insts):
@@ -242,13 +232,10 @@ class TestSimulateBatchValidation:
                 self._batch(), WdeqBatchPolicy(), release_times=np.full((1, 2), -1.0)
             )
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_zero_weight_rejected_by_wdeq(self, kernel):
+    def test_zero_weight_rejected_by_wdeq(self):
         inst = Instance(P=1.0, tasks=[Task(volume=1.0, weight=0.0, delta=0.5)])
         with pytest.raises(InvalidInstanceError):
-            simulate_batch(
-                InstanceBatch.from_instances([inst]), WdeqBatchPolicy(), kernel=kernel
-            )
+            simulate_batch(InstanceBatch.from_instances([inst]), WdeqBatchPolicy())
 
     def test_priority_policy_tie_break_matches_scalar(self):
         # Equal priorities: the scalar policy serves ascending task index.
@@ -265,14 +252,11 @@ class TestSimulateBatchValidation:
         )
         assert result.traces[0].completion_order() == scalar.trace.completion_order()
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_fair_share_requires_positive_weights(self, kernel):
+    def test_fair_share_requires_positive_weights(self):
         # Weight zero with the fair-share policy: the total weight is zero.
         inst = Instance(P=1.0, tasks=[Task(volume=1.0, weight=0.0, delta=0.5)])
         with pytest.raises(SimulationError, match="positive weights"):
-            simulate_batch(
-                InstanceBatch.from_instances([inst]), FairShareNoCapBatchPolicy(), kernel=kernel
-            )
+            simulate_batch(InstanceBatch.from_instances([inst]), FairShareNoCapBatchPolicy())
 
     def test_released_only_rows_finish_while_others_wait(self):
         # Row 0 has immediate work, row 1 waits for its release: both finish.
@@ -283,3 +267,67 @@ class TestSimulateBatchValidation:
         result = simulate_batch(batch, DeqBatchPolicy(), release_times=releases)
         assert result.completion_times[0, 0] == pytest.approx(1.0)
         assert result.completion_times[1, 0] == pytest.approx(6.0)
+
+
+# --------------------------------------------------------------------- #
+# float32 throughput mode
+# --------------------------------------------------------------------- #
+
+
+class TestFloat32Mode:
+    @staticmethod
+    def _batch(B: int, n: int, seed: int, generator=cluster_instances) -> InstanceBatch:
+        return InstanceBatch.from_instances(list(generator(n, B, rng=np.random.default_rng(seed))))
+
+    def test_instance_batch_astype(self):
+        batch = self._batch(B=3, n=3, seed=3)
+        cast = batch.astype(np.float32)
+        assert cast.volumes.dtype == np.float32
+        assert cast.weights.dtype == np.float32
+        assert cast.deltas.dtype == np.float32
+        assert cast.mask is batch.mask  # booleans are shared, not copied
+        assert batch.astype(batch.volumes.dtype) is batch  # no-op short-circuits
+
+    def test_simulation_conforms_at_widened_tolerance(self):
+        batch = self._batch(B=10, n=5, seed=17)
+        ref = simulate_batch(batch, WdeqBatchPolicy())
+        got = simulate_batch(batch, WdeqBatchPolicy(), precision="float32")
+        assert got.completion_times.dtype == np.float32
+        np.testing.assert_allclose(
+            got.completion_times, ref.completion_times, rtol=1e-4, atol=1e-4
+        )
+
+    def test_unknown_precision_rejected(self):
+        with pytest.raises(ValueError, match="unknown precision"):
+            simulate_batch(self._batch(B=2, n=2, seed=3), WdeqBatchPolicy(), precision="float16")
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("generator", [cluster_instances, uniform_instances])
+    def test_scaled_volumes_conform(self, scale, generator):
+        # No policy sees the volumes, so scaling every volume by s scales
+        # every completion time by s: the unit-scale float64 run is the
+        # reference.  (float64 itself is not, at s = 1e-9: its absolute
+        # completion floor of 1e-10 merges completions of tiny tasks.)
+        batch = self._batch(B=8, n=12, seed=5, generator=generator)
+        scaled = InstanceBatch(
+            P=batch.P,
+            volumes=batch.volumes * scale,
+            weights=batch.weights,
+            deltas=batch.deltas,
+            mask=batch.mask,
+        )
+        for policy in default_batch_policies(batch):
+            ref = simulate_batch(batch, policy).completion_times * scale
+            got = simulate_batch(scaled, policy, precision="float32").completion_times
+            np.testing.assert_allclose(got, ref, rtol=1e-4, atol=0.0, err_msg=policy.name)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-9])
+    def test_tiny_tasks_are_not_finished_at_the_first_event(self, scale):
+        inst = Instance(
+            P=4, tasks=[Task(volume=v * scale, weight=1, delta=2) for v in (1.0, 2.0, 3.0)]
+        )
+        batch = InstanceBatch.from_instances([inst])
+        ref = simulate_batch(batch, WdeqBatchPolicy()).completion_times
+        got = simulate_batch(batch, WdeqBatchPolicy(), precision="float32").completion_times
+        np.testing.assert_allclose(ref[0], np.array([0.75, 1.25, 1.75]) * scale, rtol=1e-12)
+        np.testing.assert_allclose(got, ref, rtol=1e-4, atol=0.0)
