@@ -1,7 +1,7 @@
 """Scenario sweep walkthrough: bursty Poisson arrivals, programmatically.
 
 The CLI equivalent is ``malleable-repro sweep scenarios/poisson_bursts.toml
---batch``; this script builds the same kind of sweep in code to show the
+--backend vectorized``; this script builds the same kind of sweep in code to show the
 four moving parts — spec, grid expansion, runner, results store — and then
 verifies the backend-independence claim by re-running the sweep on the
 serial backend and comparing every metric.

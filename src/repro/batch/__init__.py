@@ -24,8 +24,8 @@ scale that per-instance Python overhead dominates.  This package provides
 
 The batch substrate operates on :class:`~repro.core.batch.InstanceBatch`
 (struct-of-arrays, re-exported here) and is selected by the experiments through
-:class:`repro.exec.ExecutionContext` — ``--batch`` / ``--workers`` on the
-CLI.
+:class:`repro.exec.ExecutionContext` — ``--backend vectorized`` /
+``--workers`` on the CLI.
 """
 
 from repro.batch.cache import ResultCache, cache_key

@@ -21,18 +21,18 @@ Run everything and regenerate the Markdown report::
 Run everything on the vectorized backend, sharding the remaining scalar
 work over 8 worker processes, with results cached across invocations::
 
-    malleable-repro all --batch --workers 8 --cache-dir .repro-cache
+    malleable-repro all --backend vectorized --workers 8 --cache-dir .repro-cache
 
 Run a declarative scenario sweep (a committed TOML spec or a registry
 name), preview its grid, and persist the results store::
 
     malleable-repro sweep scenarios/poisson_bursts.toml --dry-run
-    malleable-repro sweep bursty-poisson --batch --output-dir results/
+    malleable-repro sweep bursty-poisson --backend vectorized --output-dir results/
     malleable-repro sweep --list
 
 Find the hot paths of an experiment or sweep before optimising it::
 
-    malleable-repro profile E7 --batch --top 30
+    malleable-repro profile E7 --backend vectorized --top 30
     malleable-repro profile e7-solver-scaling --sort tottime
 
 Serve the online scheduler (newline-delimited JSON over TCP, with
@@ -439,11 +439,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="use the paper's instance counts (much slower)",
     )
     parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="vectorized backend: padded-batch NumPy kernels where they exist",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -461,23 +456,14 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--shm",
-        action="store_true",
-        help=(
-            "publish batch inputs to the worker pool through zero-copy shared "
-            "memory (repro.exec.shm) instead of pickling them per chunk; only "
-            "meaningful together with --workers"
-        ),
-    )
-    parser.add_argument(
         "--lp-backend",
         default="auto",
         choices=("auto", "scipy", "simplex"),
         help=(
             "LP solver for the Corollary 1 ordered relaxation: 'auto' picks the "
-            "batched lockstep kernel under --batch and SciPy/HiGHS otherwise; "
-            "'scipy' / 'simplex' pin one scalar solver (the selection is part of "
-            "the cache key, so cached results never cross solvers)"
+            "batched lockstep kernel under --backend vectorized and SciPy/HiGHS "
+            "otherwise; 'scipy' / 'simplex' pin one scalar solver (the selection "
+            "is part of the cache key, so cached results never cross solvers)"
         ),
     )
     parser.add_argument(
@@ -492,12 +478,13 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        default="auto",
-        choices=("auto", "serial", "vectorized", "process-pool", "cluster"),
+        default="serial",
+        choices=("serial", "vectorized", "process-pool", "cluster"),
         help=(
-            "execution backend; 'auto' (default) infers it from --batch/--workers, "
-            "'cluster' shards cells over the worker nodes named by --hosts "
-            "(launch them with `malleable-repro workers`)"
+            "execution backend (default serial; --workers N > 1 promotes it to "
+            "process-pool); 'vectorized' runs the padded-batch NumPy kernels "
+            "where they exist; 'cluster' shards cells over the worker nodes "
+            "named by --hosts (launch them with `malleable-repro workers`)"
         ),
     )
     parser.add_argument(
@@ -527,13 +514,11 @@ def context_from_args(args: argparse.Namespace) -> ExecutionContext:
     return ExecutionContext.from_options(
         seed=args.seed,
         paper_scale=args.paper_scale,
-        batch=args.batch,
         workers=args.workers,
         cache_dir=args.cache_dir,
         lp_backend=getattr(args, "lp_backend", "auto"),
-        shm=getattr(args, "shm", False),
         precision=getattr(args, "precision", "float64"),
-        backend=getattr(args, "backend", "auto"),
+        backend=getattr(args, "backend", "serial"),
         hosts=getattr(args, "hosts", None),
         cell_timeout=getattr(args, "cell_timeout", 120.0),
         cluster_retries=getattr(args, "cluster_retries", 2),
@@ -613,7 +598,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     """The ``profile`` subcommand: cProfile one experiment or sweep.
 
     Future performance work starts here instead of with ad-hoc scripts:
-    ``malleable-repro profile E7 --batch`` runs the target under
+    ``malleable-repro profile E7 --backend vectorized`` runs the target under
     :mod:`cProfile` with the same execution flags as ``run`` / ``sweep``
     and prints the top-N cumulative table (plus an optional raw stats dump
     for flame-graph viewers).

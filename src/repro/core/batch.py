@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import Instance, Task
 
-__all__ = ["PRECISIONS", "InstanceBatch"]
+__all__ = ["PRECISIONS", "InstanceBatch", "slice_batch"]
 
 #: The precision modes of the batched simulation and LP kernels.
 #: ``float64`` is the conformance mode; ``float32`` casts the batch at its
@@ -200,3 +200,15 @@ class InstanceBatch:
         ``InstanceBatch.from_instances(insts).to_instances() == insts``.
         """
         return [self.instance(b) for b in range(self.batch_size)]
+
+
+def slice_batch(batch: InstanceBatch, lo: int, hi: int) -> InstanceBatch:
+    """A zero-copy row slice ``[lo, hi)`` of a batch (shares the arrays)."""
+    return InstanceBatch(
+        P=batch.P[lo:hi],
+        volumes=batch.volumes[lo:hi],
+        weights=batch.weights[lo:hi],
+        deltas=batch.deltas[lo:hi],
+        mask=batch.mask[lo:hi],
+        names=batch.names[lo:hi] if batch.names else (),
+    )

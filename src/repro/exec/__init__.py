@@ -1,17 +1,14 @@
 """Pluggable execution backends for the experiment harness.
 
 This package owns the *how* of running an experiment — seeding, scale,
-vectorization, worker pools, shared-memory transport, result caching — so
-the experiment modules only describe the *what*.  The central public type is
+vectorization, worker pools, result caching — so the experiment modules only
+describe the *what*.  The central public type is
 :class:`~repro.exec.context.ExecutionContext`; every experiment ``run``
 function accepts one (``ctx=None`` meaning "default serial context"), the
 CLI builds one from its flags, and the registry translates the deprecated
-pre-context keyword arguments into one.  :mod:`repro.exec.shm` provides the
-zero-copy shared-memory publication used by
-:meth:`~repro.exec.context.ExecutionContext.map_batch` on ``shm=True``
-contexts, and :mod:`repro.exec.cluster` the multi-node ``cluster`` backend
-(coordinator + socket worker nodes; imported lazily here to keep the
-package import light).
+pre-context keyword arguments into one.  :mod:`repro.exec.cluster` provides
+the multi-node ``cluster`` backend (coordinator + socket worker nodes;
+imported lazily here to keep the package import light).
 
 Typical usage::
 

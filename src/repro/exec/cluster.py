@@ -1,12 +1,12 @@
 """Multi-node sharded sweeps: a stdlib coordinator + socket worker nodes.
 
-Every execution backend so far tops out at one machine: the process pool
-shards cells over local workers, the shm pool makes that dispatch zero-copy,
-but ``ExecutionContext`` never leaves the box.  This module adds the
-``cluster`` backend: a :class:`ClusterCoordinator` that shards a sweep's
-cells over :class:`WorkerNode` processes reached by TCP — localhost ports or
-remote hosts, stdlib only (``socket`` + ``threading`` + the NDJSON framing
-of :mod:`repro.service.protocol`).
+Every other execution backend tops out at one machine: the process pool
+shards cells over local workers, but ``ExecutionContext`` never leaves the
+box.  This module adds the ``cluster`` backend: a
+:class:`ClusterCoordinator` that shards a sweep's cells over
+:class:`WorkerNode` processes reached by TCP — localhost ports or remote
+hosts, stdlib only (``socket`` + ``threading`` + the NDJSON framing of
+:mod:`repro.service.protocol`).
 
 Protocol
 --------
@@ -22,10 +22,8 @@ connection:
   pair, the generic :meth:`ExecutionContext.map` path;
 * ``PushBatch`` -> ``BatchAck`` then ``RunChunk`` -> ``TaskDone`` — the
   batch path: an ``InstanceBatch`` ships **once per node** (arrays encoded
-  with the same name/shape/dtype layout as the shm pool's
-  :class:`~repro.exec.shm.SharedArrayField` descriptors, keyed by a content
-  fingerprint) and every subsequent chunk job carries only
-  ``(batch_id, lo, hi)``;
+  as name/shape/dtype/data records, keyed by a content fingerprint) and
+  every subsequent chunk job carries only ``(batch_id, lo, hi)``;
 * ``Ping`` -> ``Pong`` — heartbeats while a worker is idle;
 * ``Drain`` -> ``DrainAck`` — graceful remote shutdown (``SIGTERM`` on the
   worker process triggers the same drain path).
@@ -71,6 +69,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import math
 import os
 import pickle
 import signal
@@ -84,7 +83,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.api import MessageRegistry, ProtocolError
-from repro.core.batch import InstanceBatch
+from repro.core.batch import InstanceBatch, slice_batch
 from repro.service.protocol import encode_line, decode_line
 
 __all__ = [
@@ -209,8 +208,8 @@ class PushBatch:
     """Ship a batch's arrays to a node once; later chunks reference ``batch_id``.
 
     ``arrays`` is a tuple of ``{"name", "shape", "dtype", "data"}`` mappings
-    (base64 payloads) — the wire twin of the shm pool's
-    :class:`~repro.exec.shm.SharedArrayField` layout descriptors.
+    (base64 payloads): the ``InstanceBatch`` fields plus any extra per-row
+    arrays of the map.
     """
 
     batch_id: str
@@ -364,7 +363,7 @@ def batch_fingerprint(arrays: "Mapping[str, np.ndarray]") -> str:
     return digest.hexdigest()
 
 
-#: Batch fields shipped by ``PushBatch`` (same set the shm pool publishes).
+#: Batch fields shipped by ``PushBatch``; every other pushed array is an extra.
 _BATCH_WIRE_FIELDS = ("P", "volumes", "weights", "deltas", "mask")
 
 
@@ -710,8 +709,6 @@ class WorkerNode:
         return TaskDone(job_id=message.job_id, result=_pack(fn(item)))
 
     def _run_chunk(self, message: RunChunk) -> TaskDone:
-        from repro.exec.shm import slice_batch
-
         with self._lock:
             arrays = self._batches.get(message.batch_id)
         if arrays is None:
@@ -839,6 +836,10 @@ class ClusterCoordinator:
         connect_timeout: float = 5.0,
         abort_after: int = 0,
     ):
+        if not (math.isfinite(cell_timeout) and cell_timeout > 0):
+            raise ValueError(f"cell_timeout must be finite and > 0, got {cell_timeout!r}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be non-negative, got {max_retries!r}")
         self.addresses = parse_hosts(hosts)
         self.cell_timeout = float(cell_timeout)
         self.max_retries = int(max_retries)

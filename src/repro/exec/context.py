@@ -30,19 +30,20 @@ Three backends are supported:
 
 A context with ``backend="vectorized"`` and ``workers > 1`` combines both
 levers: vectorized kernels where they exist, the pool for the remaining
-scalar work — this is what ``malleable-repro all --batch --workers N``
-builds.
+scalar work — this is what ``malleable-repro all --backend vectorized
+--workers N`` builds.
 
 The LP layer follows the same pattern: :meth:`ExecutionContext.ordered_relaxation`
 solves the Corollary 1 LPs of a whole batch through the backend the context's
 ``lp_backend`` selection resolves to — the lockstep kernel of
-:mod:`repro.lp.batch` on a ``vectorized`` context, per-instance SciPy solves
-sharded over the worker pool on ``process-pool``, a serial SciPy loop
-otherwise.
+:mod:`repro.lp.batch` on a ``vectorized`` context, otherwise SciPy solves
+in row chunks through :meth:`ExecutionContext.map_batch` (sharded over the
+worker pool on ``process-pool``, a serial loop on ``serial``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
@@ -51,7 +52,7 @@ import numpy as np
 
 from repro.batch.cache import ResultCache, cache_key
 from repro.batch.runner import BatchRunner
-from repro.core.batch import PRECISIONS
+from repro.core.batch import PRECISIONS, InstanceBatch, slice_batch
 
 __all__ = ["BACKENDS", "LP_BACKENDS", "PRECISIONS", "ExecutionContext"]
 
@@ -69,7 +70,7 @@ CACHE_FILE_NAME = "results-cache.json"
 
 
 def _apply_batch_chunk(fn: Callable[..., Any], sub_batch: Any, extra: "Mapping[str, Any] | None") -> list:
-    """Worker body of the pickling (non-shm) :meth:`ExecutionContext.map_batch` path."""
+    """Worker body of :meth:`ExecutionContext.map_batch` on a pool: one row slice."""
     if extra:
         return list(fn(sub_batch, dict(extra)))
     return list(fn(sub_batch))
@@ -102,13 +103,6 @@ class ExecutionContext:
         :meth:`cached`.  A cache constructed with a backing path is saved by
         :meth:`close`, which is how ``--cache-dir`` persists results across
         CLI invocations.
-    shm:
-        Publish :meth:`map_batch` inputs through the zero-copy
-        shared-memory transport of :mod:`repro.exec.shm` instead of
-        pickling sub-batches into the worker processes.  Only observable
-        on a context with a process pool; results are identical either way
-        (asserted by ``tests/test_exact.py``), the difference is that the
-        per-chunk payload shrinks to a segment name + row range.
     lp_backend:
         Which solver the LP layer should use, one of :data:`LP_BACKENDS`.
         The default ``"auto"`` picks the batched lockstep kernel of
@@ -130,10 +124,12 @@ class ExecutionContext:
         ``backend="cluster"``, ignored otherwise.
     cell_timeout:
         Cluster backend: seconds one cell may take on a worker before the
-        worker is declared dead and the cell is reassigned.
+        worker is declared dead and the cell is reassigned.  Must be finite
+        and positive.
     cluster_retries:
         Cluster backend: bound on re-executions per cell (reassignments
-        after worker death and remote failures both count).
+        after worker death and remote failures both count).  Must be
+        non-negative.
     coordinator:
         Explicit :class:`~repro.exec.cluster.ClusterCoordinator` (mirrors
         ``runner``: built lazily from ``hosts`` when not given; a context
@@ -156,7 +152,6 @@ class ExecutionContext:
     runner: BatchRunner | None = None
     cache: ResultCache | None = None
     lp_backend: str = "auto"
-    shm: bool = False
     precision: str = "float64"
     hosts: Any = ()
     cell_timeout: float = 120.0
@@ -180,6 +175,10 @@ class ExecutionContext:
             )
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
+        if not (math.isfinite(self.cell_timeout) and self.cell_timeout > 0):
+            raise ValueError(f"cell_timeout must be finite and > 0, got {self.cell_timeout!r}")
+        if self.cluster_retries < 0:
+            raise ValueError(f"cluster_retries must be non-negative, got {self.cluster_retries!r}")
         if self.backend == "serial" and (self.workers > 1 or self.runner is not None):
             # Asking for workers IS asking for the pool backend; a context
             # reporting "serial" must never shard (serial guarantees the
@@ -206,47 +205,30 @@ class ExecutionContext:
         cls,
         seed: int = 0,
         paper_scale: bool = False,
-        batch: bool = False,
         workers: int = 0,
         cache_dir: str | os.PathLike | None = None,
         lp_backend: str = "auto",
-        shm: bool = False,
         precision: str = "float64",
-        backend: str = "auto",
+        backend: str = "serial",
         hosts: "str | Iterable[str] | None" = None,
         cell_timeout: float = 120.0,
         cluster_retries: int = 2,
     ) -> "ExecutionContext":
         """Build a context from CLI-style flags.
 
-        ``--backend`` picks the backend directly; the default ``auto`` keeps
-        the historical flag inference: ``--batch`` selects the
-        ``vectorized`` backend, ``--workers N`` (for ``N > 1``) the
-        ``process-pool`` backend, and both together a vectorized context
-        with a worker pool for the scalar remainder.  ``--backend cluster``
-        additionally requires ``--hosts host:port,host:port`` naming the
-        worker nodes (launch them with ``malleable-repro workers``).
-        ``--cache-dir`` attaches a :class:`ResultCache` persisted to
-        ``<cache_dir>/results-cache.json`` (created on demand, reloaded on
-        the next invocation, saved by :meth:`close`); ``--lp-backend``
-        selects the LP solver (see :data:`LP_BACKENDS`); ``--shm`` switches
-        the pool's batch maps onto the shared-memory transport;
-        ``--precision`` selects the float32 throughput mode of the batched
-        kernels (see :data:`PRECISIONS`).
+        ``--backend`` picks the backend (default ``serial``);
+        ``--workers N`` (for ``N > 1``) promotes ``serial`` to
+        ``process-pool`` and gives ``vectorized`` a worker pool for the
+        scalar remainder.  ``--backend cluster`` additionally requires
+        ``--hosts host:port,host:port`` naming the worker nodes (launch
+        them with ``malleable-repro workers``).  ``--cache-dir`` attaches a
+        :class:`ResultCache` persisted to ``<cache_dir>/results-cache.json``
+        (created on demand, reloaded on the next invocation, saved by
+        :meth:`close`); ``--lp-backend`` selects the LP solver (see
+        :data:`LP_BACKENDS`); ``--precision`` selects the float32
+        throughput mode of the batched kernels (see :data:`PRECISIONS`).
         """
-        if backend and backend != "auto":
-            if backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown execution backend {backend!r}; expected one of {BACKENDS}"
-                )
-            chosen = backend
-        elif batch:
-            chosen = "vectorized"
-        elif workers > 1:
-            chosen = "process-pool"
-        else:
-            chosen = "serial"
-        if chosen == "cluster" and not hosts:
+        if backend == "cluster" and not hosts:
             raise ValueError("--backend cluster requires --hosts host:port[,host:port...]")
         cache = None
         if cache_dir is not None:
@@ -255,11 +237,10 @@ class ExecutionContext:
         return cls(
             seed=seed,
             paper_scale=paper_scale,
-            backend=chosen,
+            backend=backend,
             workers=workers,
             cache=cache,
             lp_backend=lp_backend,
-            shm=shm,
             precision=precision,
             hosts=hosts or (),
             cell_timeout=cell_timeout,
@@ -297,7 +278,7 @@ class ExecutionContext:
         ``vectorized`` context with ``lp_backend="auto"``; otherwise the
         pinned scalar solver, with ``auto`` defaulting to ``"scipy"``.  The
         scalar solvers still benefit from a worker pool: the batched LP entry
-        point shards them over :meth:`map`.
+        point shards them over :meth:`map_batch`.
         """
         if self.lp_backend == "auto":
             return "batch" if self.vectorized else "scipy"
@@ -416,29 +397,13 @@ class ExecutionContext:
         which is what makes the backends interchangeable:
 
         * without a worker pool the whole batch is one chunk in-process;
-        * a pool context pickles each sub-batch into a worker, one future
+        * a pool context pickles each row slice into a worker, one future
           per chunk (O(workers) submissions);
-        * with ``shm=True`` the batch is published **once** through
-          :func:`repro.exec.shm.publish_batch` and each future carries only
-          ``(handle, lo, hi)`` — the zero-copy path for large sweeps.
+        * a ``cluster`` context pushes the rows once per node and ships
+          only ``(batch_id, lo, hi)`` per chunk.
 
-        ``batch`` may also be an already-published
-        :class:`repro.exec.shm.SharedBatch` — the publish step is then
-        skipped (and the published extra arrays are used), which is how a
-        sweep maps several functions over one cell for a single
-        publication.  ``chunks`` defaults to ``2 x`` the pool's worker
-        count.
+        ``chunks`` defaults to ``2 x`` the pool's worker count.
         """
-        from repro.core.batch import InstanceBatch  # local: keep import cheap
-        from repro.exec.shm import SharedBatch
-
-        shared_in: SharedBatch | None = None
-        if isinstance(batch, SharedBatch):
-            if extra is not None:
-                raise ValueError("pass extra arrays to publish_batch, not to map_batch, for a SharedBatch")
-            shared_in = batch
-            batch = shared_in.batch
-            extra = shared_in.extra
         if not isinstance(batch, InstanceBatch):
             raise TypeError(f"map_batch expects an InstanceBatch, got {type(batch).__name__}")
         B = batch.batch_size
@@ -453,57 +418,25 @@ class ExecutionContext:
             # chunk jobs carry only (batch_id, lo, hi).
             return self.cluster().map_batch(fn, batch, extra_arrays or None, chunks)
         if self.runner is None or self.runner.workers <= 1 or B <= 1:
-            if extra_arrays:
-                return list(fn(batch, extra_arrays))
-            return list(fn(batch))
+            return _apply_batch_chunk(fn, batch, extra_arrays)
         from repro.batch.runner import chunk_ranges
 
         ranges = chunk_ranges(B, self.runner.workers, chunks)
         pool = self.runner._get_pool()
-        if self.shm:
-            from repro.exec.shm import apply_shared_chunk, publish_batch
-
-            shared = shared_in if shared_in is not None else publish_batch(batch, **extra_arrays)
-            try:
-                futures = [
-                    pool.submit(apply_shared_chunk, (fn, shared.handle, lo, hi))
-                    for lo, hi in ranges
-                ]
-                self.runner.last_submission_count = len(futures)
-                results: list = []
-                for future in futures:
-                    results.extend(future.result())
-            finally:
-                if shared_in is None:  # caller-published batches outlive the call
-                    shared.close()
-            return results
-        from repro.exec.shm import slice_batch
-
-        futures = []
-        for lo, hi in ranges:
-            sub = slice_batch(batch, lo, hi)
-            if extra_arrays:
-                sliced = {name: value[lo:hi] for name, value in extra_arrays.items()}
-                futures.append(pool.submit(_apply_batch_chunk, fn, sub, sliced))
-            else:
-                futures.append(pool.submit(_apply_batch_chunk, fn, sub, None))
+        futures = [
+            pool.submit(
+                _apply_batch_chunk,
+                fn,
+                slice_batch(batch, lo, hi),
+                {name: value[lo:hi] for name, value in extra_arrays.items()},
+            )
+            for lo, hi in ranges
+        ]
         self.runner.last_submission_count = len(futures)
-        results = []
+        results: list = []
         for future in futures:
             results.extend(future.result())
         return results
-
-    def publish(self, batch: Any, **extra: Any) -> Any:
-        """Publish a batch once for repeated :meth:`map_batch` calls.
-
-        Thin wrapper over :func:`repro.exec.shm.publish_batch`; the
-        returned :class:`~repro.exec.shm.SharedBatch` is a context manager
-        that unlinks its segment on exit and can be passed to
-        :meth:`map_batch` in place of the batch on any backend.
-        """
-        from repro.exec.shm import publish_batch
-
-        return publish_batch(batch, **extra)
 
     def cached(
         self, name: str, params: Mapping[str, Any], compute: Callable[[], Any]

@@ -187,7 +187,8 @@ def run(
         notes.append(
             "The '(LP values)' rows check the symmetry for the exact optimal-for-order values "
             "of the Corollary 1 LP (solved through the context's LP backend: the batched "
-            "lockstep kernel on --batch, SciPy otherwise), not just the greedy recurrence."
+            "lockstep kernel on --backend vectorized, SciPy otherwise), not just the greedy "
+            "recurrence."
         )
         engine_rows, engine_match = _exact_engine_cross_check(ctx, lp_sizes, lp_count)
         rows.extend(engine_rows)

@@ -30,8 +30,8 @@ def run_all(
     """Run every (or the selected) experiment and collect the results.
 
     All execution options travel in ``ctx`` (the same context is handed to
-    every experiment, so ``malleable-repro all --batch --workers N``
-    exercises one code path end to end).  Remaining keyword arguments are
+    every experiment, so ``malleable-repro all --backend vectorized
+    --workers N`` exercises one code path end to end).  Remaining keyword arguments are
     experiment parameters forwarded verbatim to every selected experiment —
     useful when selecting a single experiment, and a ``TypeError`` when a
     parameter does not fit one of the selected experiments.  The legacy

@@ -15,9 +15,9 @@ replaces that loop for a whole :class:`~repro.core.batch.InstanceBatch`:
 * **Solving** — the tensors go to the lockstep dense simplex kernel
   :func:`repro.lp.simplex.solve_linear_program_batch` (per-problem pivoting
   masks, converged problems frozen), or, with ``backend="scipy"`` /
-  ``"simplex"``, each instance's scalar solve is dispatched across
-  :meth:`repro.exec.ExecutionContext.map` so a process-pool context shards
-  the batch over workers.
+  ``"simplex"``, each instance's scalar solve is dispatched in row chunks
+  across :meth:`repro.exec.ExecutionContext.map_batch` so a process-pool
+  context shards the batch over workers.
 
 Every batched result is validated differentially against
 :func:`repro.lp.interface.solve_ordered_relaxation` by the Hypothesis suite
@@ -357,43 +357,35 @@ def _solve_rows_scalar(
     backend: str = "scipy",
     build: bool = False,
 ) -> "list[tuple[float, np.ndarray, np.ndarray | None]]":
-    """Scalar solves of a whole row-chunk (the shared-memory dispatch body).
+    """Scalar solves of a whole row-chunk (the scalar dispatch body).
 
-    Receives a zero-copy slice of the published batch plus its sliced
-    ``orders`` array (see :meth:`repro.exec.ExecutionContext.map_batch`),
-    rebuilds each row's instance locally and solves it — the worker never
-    receives pickled instances at all.
+    Receives a row slice of the batch plus its sliced ``orders`` array (see
+    :meth:`repro.exec.ExecutionContext.map_batch`), rebuilds each row's
+    instance locally and solves it.  Returns one ``(objective,
+    completion_times, rates)`` per row — rates only when ``build`` asks for
+    a schedule, and always from the *same* solve as the completion times
+    (the ordered LP can have non-unique optima, so mixing vertices from
+    different solvers would break volume conservation).  Module-level so
+    it pickles into worker processes.
     """
+    from repro.lp.interface import solve_ordered_relaxation
+
     orders = extra["orders"]
     counts = sub_batch.counts
     results = []
     for b in range(sub_batch.batch_size):
         n = int(counts[b])
         order = tuple(int(t) for t in orders[b, :n])
-        results.append(_solve_one_scalar((sub_batch.instance(b), order, backend, build)))
+        solution = solve_ordered_relaxation(
+            sub_batch.instance(b), order, backend=backend, build_schedule=build
+        )
+        rates = None
+        if build and solution.schedule is not None:
+            rates = np.asarray(solution.schedule.rates, dtype=float)
+        results.append(
+            (float(solution.objective), np.asarray(solution.completion_times, dtype=float), rates)
+        )
     return results
-
-
-def _solve_one_scalar(
-    payload: "tuple[Any, tuple[int, ...], str, bool]",
-) -> "tuple[float, np.ndarray, np.ndarray | None]":
-    """Scalar ordered-relaxation solve of one ``(instance, order, backend, build)`` payload.
-
-    Returns ``(objective, completion_times, rates)`` — rates only when the
-    payload asks for a schedule, and always from the *same* solve as the
-    completion times (the ordered LP can have non-unique optima, so mixing
-    vertices from different solvers would break volume conservation).
-    Module-level so :meth:`ExecutionContext.map` can pickle it into worker
-    processes.
-    """
-    from repro.lp.interface import solve_ordered_relaxation
-
-    instance, order, backend, build = payload
-    solution = solve_ordered_relaxation(instance, order, backend=backend, build_schedule=build)
-    rates = None
-    if build and solution.schedule is not None:
-        rates = np.asarray(solution.schedule.rates, dtype=float)
-    return float(solution.objective), np.asarray(solution.completion_times, dtype=float), rates
 
 
 def solve_ordered_relaxation_batch(
@@ -416,9 +408,9 @@ def solve_ordered_relaxation_batch(
     backend:
         ``"batch"`` (default) assembles the padded tensors and solves them
         with the lockstep simplex kernel; ``"scipy"`` / ``"simplex"``
-        dispatch the scalar solver per instance — through ``ctx.map`` when a
-        context is given, so a process-pool context shards the batch over
-        its workers.
+        dispatch the scalar solver per instance — in row chunks through
+        ``ctx.map_batch`` when a context is given, so a process-pool or
+        cluster context shards the batch over its workers.
     ctx:
         Optional :class:`~repro.exec.ExecutionContext` used only by the
         scalar dispatch backends.
@@ -467,27 +459,17 @@ def solve_ordered_relaxation_batch(
             _rates=rates,
         )
 
-    # Scalar dispatch: one solve_ordered_relaxation per row, sharded through
-    # the context's backend when one is given.  Rates (when requested) come
-    # from the same per-instance solves as the completion times — the LP can
-    # have non-unique optima, so pairing one solver's times with another's
-    # rates would not form a valid schedule.
+    # Scalar dispatch: one solve_ordered_relaxation per row, in row chunks
+    # through the context's backend when one is given.  Rates (when
+    # requested) come from the same per-instance solves as the completion
+    # times — the LP can have non-unique optima, so pairing one solver's
+    # times with another's rates would not form a valid schedule.
     counts = batch.counts
-    if ctx is not None and ctx.shm and ctx.runner is not None:
-        # Zero-copy path: publish the batch once, ship only (handle, range)
-        # per chunk; workers rebuild their rows from the shared pages.
-        solver = functools.partial(_solve_rows_scalar, backend=backend, build=build_schedules)
+    solver = functools.partial(_solve_rows_scalar, backend=backend, build=build_schedules)
+    if ctx is not None:
         solved = ctx.map_batch(solver, batch, extra={"orders": orders})
     else:
-        instances = batch.to_instances()
-        payloads = [
-            (inst, tuple(int(t) for t in orders[b, : int(counts[b])]), backend, build_schedules)
-            for b, inst in enumerate(instances)
-        ]
-        if ctx is not None:
-            solved = ctx.map(_solve_one_scalar, payloads)
-        else:
-            solved = [_solve_one_scalar(p) for p in payloads]
+        solved = solver(batch, {"orders": orders})
     objectives = np.array([obj for obj, _, _ in solved])
     completion = np.zeros((B, N))
     rates = np.zeros((B, N, N)) if build_schedules else None

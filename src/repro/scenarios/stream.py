@@ -34,7 +34,7 @@ mean/variance update), so the final metrics match the in-memory path up to
 floating-point reassociation without ever holding more than one chunk.
 Chunks can optionally be dispatched through
 :meth:`repro.exec.ExecutionContext.map_batch`, riding the process pool and
-the shared-memory transport unchanged.
+the cluster backend unchanged.
 
 Examples
 --------
@@ -480,7 +480,7 @@ def _simulate_rows(
     Module-level and row-independent, so
     :meth:`repro.exec.ExecutionContext.map_batch` can pickle a
     ``functools.partial`` of it into pool workers and slice the chunk (and
-    its ``releases`` extra array) over the shared-memory transport.
+    its ``releases`` extra array) into row ranges.
     """
     from repro.batch.kernels import combined_lower_bound_batch
     from repro.batch.sim_kernels import default_batch_policies, simulate_batch
@@ -533,7 +533,7 @@ def replay_stream(
 
     ``ctx`` dispatches each chunk's rows through
     :meth:`~repro.exec.ExecutionContext.map_batch` — the process-pool and
-    shared-memory transports apply per chunk, unchanged.  ``on_chunk`` is
+    cluster backends apply per chunk, unchanged.  ``on_chunk`` is
     called after each chunk with the chunk and its *chunk-local* metrics
     (what :func:`repro.scenarios.store.merge_records` aggregates back into
     the exact stream totals).

@@ -35,13 +35,13 @@ class TestParser:
 
     def test_batch_workers_and_cache_flags(self):
         args = build_parser().parse_args(
-            ["run", "E5", "--batch", "--workers", "4", "--cache-dir", "/tmp/x"]
+            ["run", "E5", "--backend", "vectorized", "--workers", "4", "--cache-dir", "/tmp/x"]
         )
-        assert args.batch is True
+        assert args.backend == "vectorized"
         assert args.workers == 4
         assert args.cache_dir == "/tmp/x"
         args = build_parser().parse_args(["all"])
-        assert args.batch is False
+        assert args.backend == "serial"
         assert args.workers == 0
         assert args.cache_dir is None
 
@@ -58,7 +58,7 @@ class TestContextFromArgs:
         assert ctx.runner is None and ctx.cache is None
 
     def test_batch_and_workers_build_vectorized_context_with_pool(self):
-        args = build_parser().parse_args(["run", "E5", "--batch", "--workers", "3"])
+        args = build_parser().parse_args(["run", "E5", "--backend", "vectorized", "--workers", "3"])
         ctx = context_from_args(args)
         try:
             assert ctx.backend == "vectorized"
@@ -114,19 +114,17 @@ class TestMain:
 class TestProfile:
     def test_profile_flags_parse(self):
         args = build_parser().parse_args(
-            ["profile", "E7", "--top", "10", "--sort", "tottime", "--batch"]
+            ["profile", "E7", "--top", "10", "--sort", "tottime", "--backend", "vectorized"]
         )
         assert args.command == "profile"
         assert args.target == "E7"
-        assert args.top == 10 and args.sort == "tottime" and args.batch is True
+        assert args.top == 10 and args.sort == "tottime" and args.backend == "vectorized"
 
     def test_shm_flag_parses_and_reaches_the_context(self):
-        args = build_parser().parse_args(["run", "E1", "--workers", "2", "--shm"])
-        ctx = context_from_args(args)
-        try:
-            assert ctx.shm is True and ctx.backend == "process-pool"
-        finally:
-            ctx.close()
+        """`--shm`, `--batch` and `--backend auto` no longer parse."""
+        for argv in (["--shm"], ["--batch"], ["--backend", "auto"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "E1", "--workers", "2", *argv])
 
     def test_profile_scenario_prints_table(self, tmp_path, capsys):
         spec = tmp_path / "tiny.toml"

@@ -445,6 +445,19 @@ class TestClusterExecution:
         assert ctx.cluster_retries == 5
         assert ctx.runner is None  # no local pool behind a cluster context
 
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_cell_timeout_rejected(self, value):
+        with pytest.raises(ValueError, match="cell_timeout"):
+            ExecutionContext(backend="cluster", hosts="127.0.0.1:1", cell_timeout=value)
+        with pytest.raises(ValueError, match="cell_timeout"):
+            ClusterCoordinator("127.0.0.1:1", cell_timeout=value)
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError, match="cluster_retries.*-1"):
+            ExecutionContext(backend="cluster", hosts="127.0.0.1:1", cluster_retries=-1)
+        with pytest.raises(ValueError, match="max_retries.*-1"):
+            ClusterCoordinator("127.0.0.1:1", max_retries=-1)
+
     def test_unreachable_hosts_raise_cluster_error(self):
         coordinator = ClusterCoordinator(["127.0.0.1:9"], connect_timeout=0.5)
         with pytest.raises(ClusterError, match="no cluster workers reachable"):
@@ -480,6 +493,26 @@ class TestClusterExecution:
         assert np.allclose(first, serial)
         assert np.allclose(second, serial)
         assert pushes_after_first <= 2  # once per node, never once per chunk
+
+    def test_lp_scalar_dispatch_matches_serial(self):
+        from repro.lp.batch import solve_ordered_relaxation_batch
+
+        batch = InstanceBatch.from_instances(list(uniform_instances(n=4, count=6, rng=2)))
+        rng = np.random.default_rng(5)
+        orders = np.array([rng.permutation(4) for _ in range(6)])
+        serial = solve_ordered_relaxation_batch(batch, orders, backend="scipy", build_schedules=True)
+        with LocalNodes(count=2) as local:
+            with ClusterCoordinator(local.hosts) as coordinator:
+                ctx = ExecutionContext(backend="cluster", coordinator=coordinator)
+                remote = solve_ordered_relaxation_batch(
+                    batch, orders, backend="scipy", ctx=ctx, build_schedules=True
+                )
+                assert coordinator.stats["batches_pushed"] >= 1
+        assert np.array_equal(serial.objectives, remote.objectives)
+        assert np.array_equal(serial.completion_times, remote.completion_times)
+        assert [s.rates.tolist() for s in serial.schedules()] == [
+            s.rates.tolist() for s in remote.schedules()
+        ]
 
     def test_remote_exception_becomes_cluster_error(self):
         with LocalNodes(count=1) as local:

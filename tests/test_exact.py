@@ -1,16 +1,15 @@
-"""Differential suite for the exact-OPT engine and the shared-memory backend.
+"""Differential suite for the exact-OPT engine and the pool batch map.
 
-The two tentpoles of this layer are pinned here:
+Two layers are pinned here:
 
 * ``repro.lp.exact`` — the subset-memoized branch-and-bound must produce
   *exactly* the optimum of the full ``n!`` ordering enumeration on every
   ragged batch Hypothesis can build, on every backend, and its internal
   bounds must genuinely bracket the ordered-LP values (floors below, greedy
   fill above);
-* ``repro.exec.shm`` — sweeps dispatched through the zero-copy
-  shared-memory pool must return *bit-for-bit* the results of the pickling
-  pool and of the serial path, and large maps must issue O(workers)
-  submissions.
+* ``ExecutionContext.map_batch`` — row chunks dispatched over a process
+  pool must return *bit-for-bit* the results of the serial path, and large
+  maps must issue O(workers) submissions.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.core.bounds import times_close
 from repro.core.exceptions import InvalidInstanceError, SolverError
 from repro.core.instance import Instance, Task
 from repro.exec import ExecutionContext
-from repro.exec.shm import attach_batch, publish_batch
 from repro.lp.batch import OPTIMAL_METHODS, optimal, solve_ordered_relaxation_batch
 from repro.lp.exact import (
     MAX_BRANCH_AND_BOUND_TASKS,
@@ -271,7 +269,7 @@ class TestHomogeneousBatchEvaluator:
 
 
 # --------------------------------------------------------------------- #
-# Shared-memory backend: identical results, O(workers) submissions
+# Pool batch map: identical results, O(workers) submissions
 # --------------------------------------------------------------------- #
 
 
@@ -285,6 +283,8 @@ def _per_row_weighted_volume(sub_batch, extra):
 
 
 class TestSharedMemoryBackend:
+    """Batch maps on a pool ship pickled row slices and match the in-process run."""
+
     def _batch(self, B=64, n=6, seed=31):
         rng = np.random.default_rng(seed)
         return InstanceBatch.from_arrays(
@@ -294,53 +294,23 @@ class TestSharedMemoryBackend:
             deltas=rng.uniform(0.05, 1.0, (B, n)),
         )
 
-    def test_publish_attach_roundtrip(self):
-        batch = self._batch(B=5)
-        with publish_batch(batch, marker=np.arange(5.0)) as shared:
-            attached, extra, segment = attach_batch(shared.handle)
-            try:
-                np.testing.assert_array_equal(attached.volumes, batch.volumes)
-                np.testing.assert_array_equal(attached.P, batch.P)
-                np.testing.assert_array_equal(attached.mask, batch.mask)
-                np.testing.assert_array_equal(extra["marker"], np.arange(5.0))
-                assert shared.handle.batch_size == 5
-                with pytest.raises(ValueError):
-                    attached.volumes[0, 0] = 1.0  # read-only views
-            finally:
-                segment.close()
-        shared.close()  # idempotent
-
-    def test_extra_name_collision_rejected(self):
-        batch = self._batch(B=2)
-        with pytest.raises(ValueError):
-            publish_batch(batch, volumes=np.zeros(2))
-
     def test_map_batch_identical_across_backends(self):
         batch = self._batch()
         with ExecutionContext() as serial_ctx:
             serial = serial_ctx.map_batch(_per_row_bounds, batch)
-        with ExecutionContext(backend="process-pool", workers=2) as pick_ctx:
-            pickled = pick_ctx.map_batch(_per_row_bounds, batch)
-            assert 0 < pick_ctx.runner.last_submission_count <= 2 * CHUNKS_PER_WORKER
-        with ExecutionContext(backend="process-pool", workers=2, shm=True) as shm_ctx:
-            shm = shm_ctx.map_batch(_per_row_bounds, batch)
-            assert 0 < shm_ctx.runner.last_submission_count <= 2 * CHUNKS_PER_WORKER
-        assert np.array_equal(np.asarray(serial), np.asarray(pickled))
-        assert np.array_equal(np.asarray(serial), np.asarray(shm))
+        with ExecutionContext(backend="process-pool", workers=2) as pool_ctx:
+            pooled = pool_ctx.map_batch(_per_row_bounds, batch)
+            assert 0 < pool_ctx.runner.last_submission_count <= 2 * CHUNKS_PER_WORKER
+        assert np.array_equal(np.asarray(serial), np.asarray(pooled))
 
     def test_map_batch_extra_arrays_and_published_reuse(self):
         batch = self._batch(B=16)
         scale = np.full(16, 2.0)
         with ExecutionContext() as serial_ctx:
             reference = serial_ctx.map_batch(_per_row_weighted_volume, batch, extra={"scale": scale})
-        with ExecutionContext(backend="process-pool", workers=2, shm=True) as ctx:
-            direct = ctx.map_batch(_per_row_weighted_volume, batch, extra={"scale": scale})
-            with ctx.publish(batch, scale=scale) as shared:
-                reused_a = ctx.map_batch(_per_row_weighted_volume, shared)
-                reused_b = ctx.map_batch(_per_row_weighted_volume, shared)
-        assert np.array_equal(np.asarray(reference), np.asarray(direct))
-        assert np.array_equal(np.asarray(reference), np.asarray(reused_a))
-        assert np.array_equal(np.asarray(reference), np.asarray(reused_b))
+        with ExecutionContext(backend="process-pool", workers=2) as ctx:
+            pooled = ctx.map_batch(_per_row_weighted_volume, batch, extra={"scale": scale})
+        assert np.array_equal(np.asarray(reference), np.asarray(pooled))
 
     def test_map_batch_validates_inputs(self):
         batch = self._batch(B=4)
@@ -353,28 +323,15 @@ class TestSharedMemoryBackend:
     def test_lp_scalar_dispatch_shm_equals_serial(self):
         insts = list(uniform_instances(4, 12, rng=np.random.default_rng(2)))
         batch = InstanceBatch.from_instances(insts)
-        serial = solve_ordered_relaxation_batch(batch, backend="scipy")
-        with ExecutionContext(backend="process-pool", workers=2, shm=True) as ctx:
-            shm = solve_ordered_relaxation_batch(batch, backend="scipy", ctx=ctx)
-        assert np.array_equal(serial.objectives, shm.objectives)
-        assert np.array_equal(serial.completion_times, shm.completion_times)
-
-    def test_sweep_summaries_identical_shm_vs_pickling(self):
-        from repro.scenarios import ScenarioSpec, SweepRunner
-
-        spec = ScenarioSpec(
-            name="shm-equality",
-            generator="uniform_instances",
-            grid={"n": [3, 4]},
-            count=3,
-            policies=("WDEQ",),
-        )
-        with ExecutionContext(seed=5, backend="process-pool", workers=2) as pick_ctx:
-            pickled = SweepRunner(spec, pick_ctx).run()
-        with ExecutionContext(seed=5, backend="process-pool", workers=2, shm=True) as shm_ctx:
-            shm = SweepRunner(spec, shm_ctx).run()
-        assert pickled.records == shm.records
-        assert pickled.rows == shm.rows
+        serial = solve_ordered_relaxation_batch(batch, backend="scipy", build_schedules=True)
+        with ExecutionContext(backend="process-pool", workers=2) as ctx:
+            pooled = solve_ordered_relaxation_batch(batch, backend="scipy", ctx=ctx, build_schedules=True)
+            assert ctx.runner.last_submission_count > 1
+        assert np.array_equal(serial.objectives, pooled.objectives)
+        assert np.array_equal(serial.completion_times, pooled.completion_times)
+        assert [s.rates.tolist() for s in serial.schedules()] == [
+            s.rates.tolist() for s in pooled.schedules()
+        ]
 
 
 class TestAdaptiveChunking:

@@ -242,10 +242,10 @@ class TestExecutionContext:
 
     def test_from_options_backend_mapping(self):
         assert ExecutionContext.from_options().backend == "serial"
-        assert ExecutionContext.from_options(batch=True).backend == "vectorized"
+        assert ExecutionContext.from_options(backend="vectorized").backend == "vectorized"
         with ExecutionContext.from_options(workers=2) as ctx:
             assert ctx.backend == "process-pool"
-        with ExecutionContext.from_options(batch=True, workers=2) as ctx:
+        with ExecutionContext.from_options(backend="vectorized", workers=2) as ctx:
             assert ctx.backend == "vectorized" and ctx.runner is not None
 
     def test_from_options_cache_dir(self, tmp_path):

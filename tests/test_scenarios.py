@@ -374,7 +374,8 @@ class TestSweepCli:
             [
                 "sweep",
                 str(SCENARIO_DIR / "trace_replay.toml"),
-                "--batch",
+                "--backend",
+                "vectorized",
                 "--output-dir",
                 str(out_dir),
             ]

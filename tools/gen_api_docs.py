@@ -29,9 +29,8 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
     "exec.md": (
         "repro.exec — execution contexts",
         "The execution layer: one `ExecutionContext` object decides *how* every "
-        "experiment and sweep runs (backend, workers, seed, cache), including "
-        "the zero-copy shared-memory transport of `repro.exec.shm`.",
-        ["repro.exec.context", "repro.exec.shm"],
+        "experiment and sweep runs (backend, workers, seed, cache).",
+        ["repro.exec.context"],
     ),
     "cluster.md": (
         "repro.exec.cluster — multi-node sharded sweeps",
